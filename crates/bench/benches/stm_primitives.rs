@@ -137,7 +137,7 @@ fn bench_epoch(c: &mut Criterion) {
 
 /// The writer-commit hot path end to end, the group the allocation-free
 /// redesign is gated on in CI (alongside `epoch`): pooled scratch, the
-/// unboxed write log, slab-recycled payloads, read-set dedup, and the
+/// unboxed write log, arena-recycled payloads, read-set dedup, and the
 /// sampled clock's skip-validation fast path all sit under these timings.
 ///
 /// * `rmw_1` — the canonical read-modify-write transaction (one read, one
@@ -149,7 +149,7 @@ fn bench_epoch(c: &mut Criterion) {
 ///   set) and updates two of them: a skip-list-traversal-shaped commit.
 /// * `skiphash_insert_remove` — the end-to-end client: one key churned
 ///   through a `SkipHash` insert + remove pair, the workload whose `Link`
-///   towers dominate slab traffic.
+///   towers dominate payload recycling traffic.
 fn bench_commit_path(c: &mut Criterion) {
     use skiphash::SkipHash;
 

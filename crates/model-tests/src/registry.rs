@@ -293,7 +293,7 @@ pub fn snapshot_preserve_body(preserve: bool) -> impl Fn() + Send + Sync + 'stat
                 // SC: the pin check deciding preserve-vs-recycle; the
                 // mutation skips it and recycles unconditionally.
                 if !preserve || pins.load(Ordering::SeqCst) == 0 {
-                    // Recycling hands the displaced block to the slab: a
+                    // Recycling hands the displaced block to the arena: a
                     // fresh install lands in the same storage.
                     slot.on_write();
                 }

@@ -58,7 +58,7 @@ fn orec_release_tear_is_detected_as_data_race() {
 }
 
 /// The shipped commit path checks the pin count before recycling a
-/// displaced payload; a live pin keeps the block out of the slab, so no
+/// displaced payload; a live pin keeps the block out of the arena, so no
 /// pinned read ever overlaps a fresh install.
 #[test]
 fn snapshot_preserve_is_race_free() {

@@ -17,7 +17,7 @@
 //! capacity therefore stabilizes at the chain's historical maximum, which is
 //! exactly what keeps clone→retire→clone cycles inside one class's pool.
 //!
-//! Pairs whose alignment exceeds the arena's block alignment transparently
+//! Pairs whose alignment exceeds the arena's cache-line alignment transparently
 //! fall back to the global allocator (the arena makes that call); zero-sized
 //! pairs never allocate at all.
 

@@ -31,7 +31,7 @@
 //! through the epoch shim's `defer_with`, and the reclamation glue — run only
 //! after every thread pinned at retirement time has unpinned — drops the
 //! node's fields and returns the block to the arena.  Two hazards force this
-//! (both shared with the payload slab, see `docs/PERF.md`):
+//! (both shared with `TCell` payloads, see `docs/PERF.md`):
 //!
 //! * **Read-set orecs.**  A transaction records raw pointers to the orecs of
 //!   every cell it read — including cells of nodes it no longer holds a
@@ -166,10 +166,10 @@ fn block_layout<K, V>(height: usize) -> (Layout, usize) {
 /// `repr(C)` with the scan-hot fields first: a level-0 scan reads, per
 /// element, the key (`bound`), the deletion mark (`r_time`), and the value
 /// cell — so those lead the header and, for small keys, land in the block's
-/// first cache line together with `refs` (blocks are cache-line aligned,
-/// see `stm::arena::BLOCK_ALIGN`).  The descent-only and immutable-cold
-/// fields (`i_time`, `height`, `tower`) trail.  Layout rules are documented
-/// in docs/PERF.md, Mechanism 6.
+/// first cache line together with `refs` (a node block is always at least
+/// a line long, and the arena aligns every such class to a line).  The
+/// descent-only and immutable-cold fields (`i_time`, `height`, `tower`)
+/// trail.  Layout rules are documented in docs/PERF.md, Mechanism 6.
 #[repr(C)]
 pub struct Node<K, V> {
     /// The node's position on the key axis (immutable).

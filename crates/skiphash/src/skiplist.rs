@@ -567,7 +567,8 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
     /// 1. keys are non-decreasing along level 0 (duplicates may appear only
     ///    when logically deleted nodes linger);
     /// 2. `pred`/`succ` links are mutually consistent at every level;
-    /// 3. every node linked at level `l > 0` is also linked at level `l - 1`.
+    /// 3. every node linked at level `l > 0` is also linked at level `l - 1`
+    ///    (checked in one merge pass per level, so the check is linear).
     pub fn check_invariants(&self, tx: &mut Txn<'_>) -> TxResult<Result<(), String>> {
         // Level 0 ordering + doubly-linked consistency on all levels.
         for level in 0..self.max_level {
@@ -607,29 +608,34 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
             }
         }
 
-        // Each node reachable at level l is reachable at level 0.
-        let mut level0 = Vec::new();
-        let mut node = self.head.succ0(tx)?;
-        while !node.is_tail() {
-            level0.push(node.clone());
-            node = node.succ0(tx)?;
-        }
+        // Each node linked at level l is linked at level l - 1: both levels
+        // are key-ordered, so one merge pass walks level l - 1 up to each
+        // level-l node in turn.
         for level in 1..self.max_level {
-            let mut node = self
-                .head
-                .level(level)
-                .succ
-                .read(tx)?
-                .expect("levels are always terminated by the tail sentinel");
-            while !node.is_tail() {
-                if !level0.iter().any(|n| NodeRef::ptr_eq(n, &node)) {
-                    return Ok(Err(format!("level {level}: node missing from level 0")));
-                }
+            let mut below = self.head.clone();
+            let mut node = self.head.clone();
+            loop {
                 node = node
                     .level(level)
                     .succ
                     .read(tx)?
                     .expect("levels are always terminated by the tail sentinel");
+                if node.is_tail() {
+                    break;
+                }
+                while !NodeRef::ptr_eq(&below, &node) {
+                    if below.is_tail() {
+                        return Ok(Err(format!(
+                            "level {level}: node missing from level {}",
+                            level - 1
+                        )));
+                    }
+                    below = below
+                        .level(level - 1)
+                        .succ
+                        .read(tx)?
+                        .expect("levels are always terminated by the tail sentinel");
+                }
             }
         }
         Ok(Ok(()))
@@ -744,6 +750,36 @@ mod tests {
         assert_eq!(stm.run(|tx| list.count_present(tx)), 0);
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
         list.sever_all();
+    }
+
+    #[test]
+    fn node_missing_from_the_level_below_is_reported() {
+        let stm = Stm::new();
+        let list: SkipList<u64, u64> = SkipList::new(4);
+        for (key, height) in [(10, 1), (20, 3), (30, 1)] {
+            stm.run(|tx| {
+                list.insert_after_logical_deletes(tx, key, key * 10, height, 0)
+                    .map(|_| ())
+            });
+        }
+        // Unlink the tall node from level 0 only, check, then restore its
+        // level-0 links so the list tears down intact.
+        let report = stm.run(|tx| {
+            let tall = list.ceil_raw(tx, &20)?;
+            let pred = tall.level(0).pred.read(tx)?.expect("linked");
+            let succ = tall.level(0).succ.read(tx)?.expect("linked");
+            pred.level(0).succ.write(tx, Some(succ.clone()))?;
+            succ.level(0).pred.write(tx, Some(pred.clone()))?;
+            let report = list.check_invariants(tx)?;
+            pred.level(0).succ.write(tx, Some(tall.clone()))?;
+            succ.level(0).pred.write(tx, Some(tall))?;
+            Ok(report)
+        });
+        assert_eq!(
+            report,
+            Err("level 1: node missing from level 0".to_string())
+        );
+        assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
 
     #[test]

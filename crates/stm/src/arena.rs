@@ -1,54 +1,63 @@
-//! Size-classed recycling pools for *structure* blocks.
+//! Size-classed recycling pools: the one allocator behind every
+//! [`crate::TCell`] payload, skip-hash node block and hash-chain buffer.
 //!
-//! The payload slab (the private `slab` module) removed the allocator from
-//! the per-write payload path, but
-//! the data structures built on the STM still paid `malloc`/`free` for every
-//! **structural** mutation: a skip-hash insert allocated its node (an
-//! `Arc<Node>` plus a boxed tower slice), and every copy-on-write hash-chain
-//! update cloned a `Vec` buffer.  Those blocks are bigger and more variable
-//! than cell payloads — a node block's size depends on its sampled tower
-//! height — so they need their own pool rather than the fixed 16–256-byte
-//! slab classes.
+//! Every transactional write installs a fresh payload and retires the
+//! displaced one through the epoch, and every structural mutation of the
+//! skip hash allocates a node block or a copy-on-write chain buffer.  Paid to
+//! the global allocator, both ends of each exchange made it the hottest
+//! shared resource of update-heavy workloads — with the frees usually landing
+//! on a *different* thread than the allocations, since epoch collection runs
+//! wherever pinning happens.  This module breaks the round trip: blocks come
+//! from per-thread magazines over mutex-protected global overflow pools, and
+//! a freed block returns to a pool instead of the operating system, so a
+//! steady-state workload recycles the same handful of blocks forever (see
+//! `docs/PERF.md`, Mechanism 3).
 //!
-//! This module is the raw engine: callers describe a block by `(size, align)`
-//! and get back anonymous memory served from per-thread magazines over
-//! mutex-protected global overflow pools, exactly the discipline proven out
-//! by the payload slab (see `docs/PERF.md`).  It deliberately knows nothing
-//! about *what* lives in a block; the typed glue (node layout, chain layout,
-//! epoch retirement) lives with the client in the `skiphash` crate.
+//! Two front ends share the pools:
+//!
+//! * **Raw blocks** ([`alloc_raw`] / [`free_raw`]) for structure memory.
+//!   Callers describe a block by `(size, align)`; the typed glue (node
+//!   layout, chain layout, epoch retirement) lives with the client in the
+//!   `skiphash` crate.
+//! * **Typed payloads** (the crate-private `alloc_value`, `free_value_now`
+//!   and `drop_glue`) for `TCell` values.  A `T` with
+//!   `1 <= size_of::<T>() <= 256` and `align_of::<T>() <= 16` is carved from
+//!   the pools; anything else (zero-sized, huge or over-aligned values) is a
+//!   plain `Box`, which keeps the fallback visible to sanitizers.  The class
+//!   is a constant of `T`, so the write path does no class search.
 //!
 //! # Contract
 //!
-//! * [`alloc_raw`] and [`free_raw`] must be called with the **same**
-//!   `(size, align)` pair for a given block.  The class — or the
-//!   global-allocator fallback for oversized/over-aligned/zero-sized
-//!   requests — is a pure function of that pair, so both sides always agree
-//!   about a pointer's provenance and blocks never need a header.
+//! * The class — or the global-allocator fallback — and the block alignment
+//!   are a pure function of `(size, align)`, so [`alloc_raw`] and
+//!   [`free_raw`] called with the **same** pair always agree about a
+//!   pointer's provenance and blocks never need a header.
 //! * Callers whose block size is *negotiable* (the hash chains) should round
 //!   it up front with [`recommended_size`] and remember the rounded value:
-//!   that fills the whole class instead of stranding its tail, and keeps the
-//!   alloc/free pair trivially consistent.
-//! * Like the slab, pooled blocks are never returned to the operating system;
-//!   the pools are bounded by peak live structure memory.
+//!   that fills the whole class instead of stranding its tail.
+//! * Blocks are process-global, not per-`Stm`: a retired payload sits in an
+//!   epoch garbage bag that can outlive its `TCell`, its `Stm` and the thread
+//!   that wrote it.  Pooled blocks are never returned to the operating
+//!   system; the pools are bounded by peak live memory.
 //!
 //! # Lifetime rules (why recycling is the *client's* problem)
 //!
-//! `free_raw` recycles immediately.  A block that was ever reachable by
+//! Freeing recycles immediately.  A block that was ever reachable by
 //! concurrent readers must therefore be retired **through the epoch** (the
-//! shim's `defer_with`, with reclamation glue that ends in `free_raw`), so it
-//! re-enters a magazine only after every thread pinned at retirement time has
-//! unpinned.  The skip hash's node blocks follow exactly the payload-slab
-//! rule here; see the `node` module of the `skiphash` crate and
-//! `docs/PERF.md`.
+//! shim's `defer_with`, with glue that ends in a free), so it re-enters a
+//! magazine only after every thread pinned at retirement time has unpinned.
+//! `TCell` payloads use `drop_glue`; the skip hash's node blocks follow the
+//! same rule (see the `node` module of the `skiphash` crate).  Sanitizer
+//! note: recycling means ASan cannot observe a use-after-free *within* a
+//! reused block; the drop-balance and equivalence suites are the backstop.
 //!
 //! # Recycle counters
 //!
-//! The structure pools also own the process-wide `node_recycle_hits` /
+//! The pools also own the process-wide `node_recycle_hits` /
 //! `chain_recycle_hits` counters surfaced by [`crate::StatsSnapshot`].  They
-//! live here (not in per-`Stm` state) because blocks are recycled by whoever
-//! drives epoch collection — often a different thread, sometimes a different
-//! `Stm`, than the one that allocated them.  [`crate::Stm::reset_stats`]
-//! snapshots a baseline so per-trial deltas still work.
+//! are process-wide (not per-`Stm`) because blocks are recycled by whoever
+//! drives epoch collection.  [`crate::Stm::reset_stats`] snapshots a
+//! baseline so per-trial deltas still work.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -58,25 +67,28 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Block sizes, one free list per class.  Chosen so consecutive classes
-/// differ by at most 50%: a skip-hash node block grows by one `Level`
-/// (two cells) per tower height, and coarse classes would let a single
-/// unlucky height sample mint a block no earlier insert warmed up.
-const CLASS_SIZES: [usize; 14] = [
-    32, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096,
+/// Block sizes, one free list per class.  The small classes keep a `u64`
+/// payload (or a one-pair chain) in a 16-byte block; from 64 B up,
+/// consecutive classes differ by at most 50%, because a skip-hash node block
+/// grows by one `Level` per tower height and coarse classes would let a
+/// single unlucky height sample mint a block no earlier insert warmed up.
+const CLASS_SIZES: [usize; 16] = [
+    16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096,
 ];
 const NUM_CLASSES: usize = CLASS_SIZES.len();
 
-/// Every pooled block is aligned to this; stricter alignments fall back to
-/// the global allocator (same policy as the payload slab).
-///
-/// One cache line: pooled blocks back skip-hash node headers and hash-chain
-/// buffers, and cache-line alignment is what makes the node header's
-/// "scan-hot fields in the first line" layout rule (docs/PERF.md, Mechanism
-/// 6) mean an actual line rather than an arbitrary 64-byte window.  The
-/// cost is only alignment slack on the global allocator's side — class
-/// sizes themselves are unchanged.
-const BLOCK_ALIGN: usize = 64;
+/// One cache line: the alignment of every class of this size or more.
+/// Cache-line alignment is what makes the node header's "scan-hot fields in
+/// the first line" layout rule (docs/PERF.md, Mechanism 6) mean an actual
+/// line rather than an arbitrary 64-byte window.
+const LINE: usize = 64;
+
+/// Alignment of the classes below [`LINE`]; a request aligned more strictly
+/// than this but no more than `LINE` is served from the line-aligned tier.
+const SMALL_ALIGN: usize = 16;
+
+/// The largest payload carved from the pools; bigger values are boxed.
+const MAX_PAYLOAD: usize = 256;
 
 /// Magazine size at which half the blocks are flushed to the global pool.
 const MAGAZINE_CAP: usize = 32;
@@ -85,19 +97,26 @@ const MAGAZINE_CAP: usize = 32;
 const REFILL_BATCH: usize = 16;
 
 /// Fresh blocks minted per allocator miss (one returned, the rest pooled).
-/// Same high-water-convergence rationale as the payload slab's batch mint:
-/// epoch reclamation returns blocks in bursts, so a pool sized exactly at
-/// mean demand would mint a trickle forever; over-minting by a small batch
-/// per miss makes misses self-extinguishing.
+///
+/// Epoch reclamation returns blocks in bursts, ~2 collection cycles after
+/// they were retired, and demand fluctuates with the random tower height, so
+/// a pool sized exactly at mean demand would mint a trickle forever.
+/// Minting a batch per miss converges capacity to the workload's high-water
+/// mark in a handful of misses, which is what lets the steady state reach
+/// *zero* allocator hits.
 const MINT_BATCH: usize = 8;
 
-/// The class serving `size`, or `None` when the request must use the global
-/// allocator (zero-sized, oversized, or — checked by the callers — strictly
-/// aligned).  Pure function of the size, so alloc and free always agree.
-const fn class_of_size(size: usize) -> Option<usize> {
-    if size == 0 || size > CLASS_SIZES[NUM_CLASSES - 1] {
+/// The class serving `(size, align)`, or `None` when the request must use
+/// the global allocator (zero-sized, oversized, or over-aligned).
+const fn class_of(size: usize, align: usize) -> Option<usize> {
+    if size == 0 || align > LINE {
         return None;
     }
+    let size = if align > SMALL_ALIGN && size < LINE {
+        LINE
+    } else {
+        size
+    };
     let mut class = 0;
     while class < NUM_CLASSES {
         if size <= CLASS_SIZES[class] {
@@ -108,10 +127,35 @@ const fn class_of_size(size: usize) -> Option<usize> {
     None
 }
 
+fn class_layout(class: usize) -> Layout {
+    let align = if CLASS_SIZES[class] < LINE {
+        SMALL_ALIGN
+    } else {
+        LINE
+    };
+    Layout::from_size_align(CLASS_SIZES[class], align).expect("valid class layout")
+}
+
+/// True when values of `T` are carved from the pools; false when they use
+/// plain `Box`es.
+const fn eligible<T>() -> bool {
+    let size = std::mem::size_of::<T>();
+    size >= 1 && size <= MAX_PAYLOAD && std::mem::align_of::<T>() <= SMALL_ALIGN
+}
+
+/// The class of a `T` payload, or `None` when `T` is boxed.
+const fn payload_class<T>() -> Option<usize> {
+    if eligible::<T>() {
+        class_of(std::mem::size_of::<T>(), std::mem::align_of::<T>())
+    } else {
+        None
+    }
+}
+
 /// True when `(size, align)` is served by the pools rather than the global
 /// allocator.
 pub fn pooled(size: usize, align: usize) -> bool {
-    align <= BLOCK_ALIGN && class_of_size(size).is_some()
+    class_of(size, align).is_some()
 }
 
 /// Round a *negotiable* block size up to the full size of the class that
@@ -121,14 +165,7 @@ pub fn pooled(size: usize, align: usize) -> bool {
 /// Callers must remember the rounded size and pass it to both [`alloc_raw`]
 /// and [`free_raw`].
 pub fn recommended_size(size: usize, align: usize) -> usize {
-    if align <= BLOCK_ALIGN {
-        match class_of_size(size) {
-            Some(class) => CLASS_SIZES[class],
-            None => size,
-        }
-    } else {
-        size
-    }
+    class_of(size, align).map_or(size, |class| CLASS_SIZES[class])
 }
 
 /// Global overflow pools, one per class; block addresses stored as `usize`
@@ -160,49 +197,92 @@ pub fn chain_recycle_hits() -> u64 {
     CHAIN_RECYCLE_HITS.load(Ordering::Relaxed)
 }
 
+fn global_pool(class: usize) -> std::sync::MutexGuard<'static, Vec<usize>> {
+    GLOBAL_POOLS[class]
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Per-thread block magazines; flushed to the global pools on thread exit.
 struct Magazines {
     classes: [Vec<usize>; NUM_CLASSES],
-}
-
-impl Magazines {
-    fn new() -> Self {
-        Self {
-            classes: [const { Vec::new() }; NUM_CLASSES],
-        }
-    }
 }
 
 impl Drop for Magazines {
     fn drop(&mut self) {
         for (class, magazine) in self.classes.iter_mut().enumerate() {
             if !magazine.is_empty() {
-                GLOBAL_POOLS[class]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .append(magazine);
+                global_pool(class).append(magazine);
             }
         }
     }
 }
 
 thread_local! {
-    static MAGAZINES: RefCell<Magazines> = RefCell::new(Magazines::new());
-}
-
-fn class_layout(class: usize) -> Layout {
-    Layout::from_size_align(CLASS_SIZES[class], BLOCK_ALIGN).expect("valid class layout")
+    static MAGAZINES: RefCell<Magazines> = const {
+        RefCell::new(Magazines {
+            classes: [const { Vec::new() }; NUM_CLASSES],
+        })
+    };
 }
 
 #[cold]
 fn mint_block(layout: Layout) -> *mut u8 {
     // SAFETY: every caller passes a non-zero-size layout (class layouts are
-    // non-empty; the fallback path checks for zero before calling).
+    // non-empty; the fallback path rounds zero up to one byte).
     let ptr = unsafe { alloc(layout) };
     if ptr.is_null() {
         handle_alloc_error(layout);
     }
     ptr
+}
+
+/// Pop a block of `class`, refilling the magazine from the global pool when
+/// dry and minting a batch only when both are empty.  The flag reports
+/// whether the block was recycled (`false` = fresh mint).
+fn alloc_block(class: usize) -> (*mut u8, bool) {
+    MAGAZINES
+        .try_with(|magazines| {
+            let magazine = &mut magazines.borrow_mut().classes[class];
+            if let Some(addr) = magazine.pop() {
+                return (addr as *mut u8, true);
+            }
+            {
+                let mut pool = global_pool(class);
+                let keep = pool.len().saturating_sub(REFILL_BATCH);
+                magazine.extend(pool.drain(keep..));
+            }
+            match magazine.pop() {
+                Some(addr) => (addr as *mut u8, true),
+                None => {
+                    for _ in 0..MINT_BATCH - 1 {
+                        magazine.push(mint_block(class_layout(class)) as usize);
+                    }
+                    (mint_block(class_layout(class)), false)
+                }
+            }
+        })
+        // Thread-local teardown: go straight to the global pool.
+        .unwrap_or_else(|_| match global_pool(class).pop() {
+            Some(addr) => (addr as *mut u8, true),
+            None => (mint_block(class_layout(class)), false),
+        })
+}
+
+/// Return a block of `class` to the calling thread's magazine (overflow
+/// drains to the global pool in a batch).
+fn free_block(ptr: *mut u8, class: usize) {
+    let addr = ptr as usize;
+    let stored = MAGAZINES.try_with(|magazines| {
+        let magazine = &mut magazines.borrow_mut().classes[class];
+        magazine.push(addr);
+        if magazine.len() >= MAGAZINE_CAP {
+            global_pool(class).extend(magazine.drain(MAGAZINE_CAP / 2..));
+        }
+    });
+    if stored.is_err() {
+        global_pool(class).push(addr);
+    }
 }
 
 /// Allocate a block of at least `size` bytes aligned to `align`.  The flag
@@ -218,56 +298,13 @@ fn mint_block(layout: Layout) -> *mut u8 {
 /// up to `align`.  Pooled requests never panic, and zero-size fallback
 /// requests are served as one byte rather than rejected.
 pub fn alloc_raw(size: usize, align: usize) -> (*mut u8, bool) {
-    let class = if align <= BLOCK_ALIGN {
-        class_of_size(size)
-    } else {
-        None
-    };
-    let Some(class) = class else {
-        let layout = Layout::from_size_align(size.max(1), align).expect("valid fallback layout");
-        return (mint_block(layout), false);
-    };
-    MAGAZINES
-        .try_with(|magazines| {
-            let mut magazines = magazines.borrow_mut();
-            let magazine = &mut magazines.classes[class];
-            if let Some(addr) = magazine.pop() {
-                return (addr as *mut u8, true);
-            }
-            {
-                let mut pool = GLOBAL_POOLS[class]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                let keep = pool.len().saturating_sub(REFILL_BATCH);
-                magazine.extend(pool.drain(keep..));
-            }
-            match magazine.pop() {
-                Some(addr) => (addr as *mut u8, true),
-                None => {
-                    for _ in 0..MINT_BATCH - 1 {
-                        magazine.push(mint_block(class_layout(class)) as usize);
-                    }
-                    (mint_block(class_layout(class)), false)
-                }
-            }
-        })
-        // Thread-local teardown: go straight to the global pool.
-        .unwrap_or_else(|_| {
-            let recycled = GLOBAL_POOLS[class]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .pop();
-            match recycled {
-                Some(addr) => (addr as *mut u8, true),
-                None => (mint_block(class_layout(class)), false),
-            }
-        })
+    match class_of(size, align) {
+        Some(class) => alloc_block(class),
+        None => (mint_block(fallback_layout(size, align)), false),
+    }
 }
 
 /// Return a block obtained from [`alloc_raw`] with the same `(size, align)`.
-///
-/// Pooled blocks go to the calling thread's magazine (overflow drains to the
-/// global pool in a batch); fallback blocks go back to the global allocator.
 ///
 /// # Safety
 ///
@@ -277,36 +314,66 @@ pub fn alloc_raw(size: usize, align: usize) -> (*mut u8, bool) {
 /// concurrent readers, the call must be sequenced after their quiescence
 /// (epoch retirement — see the module docs).
 pub unsafe fn free_raw(ptr: *mut u8, size: usize, align: usize) {
-    let class = if align <= BLOCK_ALIGN {
-        class_of_size(size)
-    } else {
-        None
-    };
-    let Some(class) = class else {
-        let layout = Layout::from_size_align(size.max(1), align).expect("valid fallback layout");
+    match class_of(size, align) {
+        Some(class) => free_block(ptr, class),
         // SAFETY: per the contract, `ptr` came from `alloc_raw`'s fallback
         // path with this exact layout.
-        unsafe { dealloc(ptr, layout) };
-        return;
-    };
-    let addr = ptr as usize;
-    let stored = MAGAZINES.try_with(|magazines| {
-        let mut magazines = magazines.borrow_mut();
-        let magazine = &mut magazines.classes[class];
-        magazine.push(addr);
-        if magazine.len() >= MAGAZINE_CAP {
-            GLOBAL_POOLS[class]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .extend(magazine.drain(MAGAZINE_CAP / 2..));
-        }
-    });
-    if stored.is_err() {
-        GLOBAL_POOLS[class]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(addr);
+        None => unsafe { dealloc(ptr, fallback_layout(size, align)) },
     }
+}
+
+fn fallback_layout(size: usize, align: usize) -> Layout {
+    Layout::from_size_align(size.max(1), align).expect("valid fallback layout")
+}
+
+/// Allocate storage for `value` (a pooled block or a `Box`, per
+/// [`eligible`]) and move it in.  The flag reports whether a recycled block
+/// served the request.
+pub(crate) fn alloc_value<T>(value: T) -> (*mut T, bool) {
+    match const { payload_class::<T>() } {
+        Some(class) => {
+            let (block, recycled) = alloc_block(class);
+            let ptr = block.cast::<T>();
+            // SAFETY: the block is exclusively ours, at least
+            // `size_of::<T>()` bytes, and aligned to at least
+            // `SMALL_ALIGN >= align_of::<T>()`.
+            unsafe { ptr.write(value) };
+            (ptr, recycled)
+        }
+        None => (Box::into_raw(Box::new(value)), false),
+    }
+}
+
+/// Drop the pointee and release its storage immediately.
+///
+/// # Safety
+///
+/// `ptr` must have come from [`alloc_value::<T>`], the caller must have
+/// exclusive access to it, and it must not be used afterwards.
+pub(crate) unsafe fn free_value_now<T>(ptr: *mut T) {
+    match const { payload_class::<T>() } {
+        // SAFETY: per the contract, `ptr` holds a live `T` in a block of
+        // this class.
+        Some(class) => unsafe {
+            ptr.drop_in_place();
+            free_block(ptr.cast::<u8>(), class);
+        },
+        // SAFETY: ineligible types are always boxed by `alloc_value`.
+        None => drop(unsafe { Box::from_raw(ptr) }),
+    }
+}
+
+/// The type-erased reclamation glue for `T` payloads, for use with the epoch
+/// shim's `defer_with`: drops the value and returns its block to the pools
+/// (or frees the `Box` for ineligible types).
+pub(crate) fn drop_glue<T>() -> unsafe fn(*mut ()) {
+    // SAFETY: contract — forwarded verbatim from `free_value_now`.
+    unsafe fn glue<T>(ptr: *mut ()) {
+        // SAFETY: forwarded from `free_value_now`'s contract via the epoch
+        // retirement protocol (called exactly once, after unreachability).
+        unsafe { free_value_now(ptr.cast::<T>()) }
+    }
+    glue::<T>
 }
 
 #[cfg(test)]
@@ -318,25 +385,43 @@ mod tests {
         assert!(pooled(1, 1));
         assert!(pooled(4096, 16));
         assert!(pooled(64, 64), "cache-line alignment is pooled");
+        assert!(pooled(16, 32), "stricter-than-small alignment is pooled");
         assert!(!pooled(4097, 8), "oversized blocks fall back");
         assert!(!pooled(0, 8), "zero-size requests fall back");
         assert!(!pooled(64, 128), "over-aligned blocks fall back");
+        // Payload classes are the smallest fitting ones.
+        assert_eq!(payload_class::<u64>(), Some(0));
+        assert_eq!(payload_class::<[u8; 17]>(), Some(1));
+        assert_eq!(CLASS_SIZES[payload_class::<[u8; 256]>().unwrap()], 256);
         // Exhaustive on native runs; Miri strides to keep the interpreted
         // run fast while still probing every class boundary region.
         let step = if cfg!(miri) { 7 } else { 1 };
         for size in (1..=4096usize).step_by(step) {
-            let class = class_of_size(size).expect("covered");
+            let class = class_of(size, 8).expect("covered");
             assert!(CLASS_SIZES[class] >= size);
             if class > 0 {
                 assert!(CLASS_SIZES[class - 1] < size, "smallest fitting class");
             }
+            let line_class = class_of(size, LINE).expect("covered");
+            assert!(CLASS_SIZES[line_class] >= size.max(LINE));
         }
     }
 
     #[test]
+    fn eligibility_matches_size_and_alignment() {
+        assert!(eligible::<u64>());
+        assert!(eligible::<[u8; 256]>());
+        assert!(!eligible::<[u8; 257]>(), "oversized values are boxed");
+        assert!(!eligible::<()>(), "zero-sized values are boxed");
+        #[repr(align(64))]
+        struct Overaligned(#[allow(dead_code)] u8);
+        assert!(!eligible::<Overaligned>(), "over-aligned values are boxed");
+    }
+
+    #[test]
     fn recommended_size_fills_the_class() {
-        assert_eq!(recommended_size(1, 8), 32);
-        assert_eq!(recommended_size(33, 8), 64);
+        assert_eq!(recommended_size(1, 8), 16);
+        assert_eq!(recommended_size(33, 8), 48);
         assert_eq!(recommended_size(4096, 8), 4096);
         assert_eq!(recommended_size(5000, 8), 5000, "oversize is unchanged");
         assert_eq!(recommended_size(48, 64), 64, "cache-line alignment pools");
@@ -346,7 +431,7 @@ mod tests {
         let step = if cfg!(miri) { 7 } else { 1 };
         for size in (1..=4096usize).step_by(step) {
             let rounded = recommended_size(size, 8);
-            assert_eq!(class_of_size(rounded), class_of_size(size));
+            assert_eq!(class_of(rounded, 8), class_of(size, 8));
             assert_eq!(recommended_size(rounded, 8), rounded);
         }
     }
@@ -362,6 +447,17 @@ mod tests {
         assert_eq!(first, second, "LIFO magazine returns the same block");
         // SAFETY: `second` came from `alloc_raw` with the same size/align and is not used again.
         unsafe { free_raw(second, 3000, 16) };
+
+        // The same holds for typed payloads (192-byte class).
+        type Block = [u64; 24];
+        let (first, _) = alloc_value::<Block>([7; 24]);
+        // SAFETY: `first` came from `alloc_value::<Block>` and is not reused.
+        unsafe { free_value_now(first) };
+        let (second, recycled) = alloc_value::<Block>([9; 24]);
+        assert!(recycled, "the freed block must be served from the magazine");
+        assert_eq!(first, second, "LIFO magazine returns the same block");
+        // SAFETY: `second` came from `alloc_value::<Block>` and is not reused.
+        unsafe { free_value_now(second) };
     }
 
     #[test]
@@ -376,6 +472,17 @@ mod tests {
         assert_eq!(a, b);
         // SAFETY: `b` came from `alloc_raw` with the same size/align and is not used again.
         unsafe { free_raw(b, 500, 8) };
+
+        // Payloads and raw blocks share one pool: a freed `u64` payload's
+        // 16-byte block serves the next raw 16-byte request.
+        let (payload, _) = alloc_value(7u64);
+        // SAFETY: `payload` came from `alloc_value::<u64>` and is not reused.
+        unsafe { free_value_now(payload) };
+        let (raw, recycled) = alloc_raw(16, 8);
+        assert!(recycled);
+        assert_eq!(raw, payload.cast::<u8>());
+        // SAFETY: `raw` came from `alloc_raw` with the same size/align and is not used again.
+        unsafe { free_raw(raw, 16, 8) };
     }
 
     #[test]
@@ -389,6 +496,30 @@ mod tests {
         assert_eq!(aligned as usize % 128, 0);
         // SAFETY: `aligned` came from `alloc_raw` with the same size/align and is not used again.
         unsafe { free_raw(aligned, 128, 128) };
+
+        // Ineligible payloads are boxed and never report a recycled block.
+        let (ptr, recycled) = alloc_value([0u8; 1024]);
+        assert!(!recycled);
+        // SAFETY: `ptr` came from `alloc_value` with the same type; not reused.
+        unsafe { free_value_now(ptr) };
+    }
+
+    #[test]
+    fn drop_glue_runs_destructors() {
+        use crate::sync::{AtomicUsize, Ordering};
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Counted(#[allow(dead_code)] u64);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                // SC: test drop counter — strongest ordering, not perf-sensitive.
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (ptr, _) = alloc_value(Counted(1));
+        // SAFETY: `ptr` came from `alloc_value::<Counted>`; freed exactly once.
+        unsafe { drop_glue::<Counted>()(ptr.cast()) };
+        // SC: test drop counter read.
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -404,11 +535,19 @@ mod tests {
 
     #[test]
     fn blocks_are_aligned() {
-        for &size in &[32usize, 100, 777, 4096] {
-            let (ptr, _) = alloc_raw(size, 16);
-            assert_eq!(ptr as usize % BLOCK_ALIGN, 0);
+        // Every class, by its own size: the line tier is 64-byte aligned,
+        // the small tier 16-byte aligned.
+        for &size in &CLASS_SIZES {
+            let tier = if size < LINE { SMALL_ALIGN } else { LINE };
+            let (ptr, _) = alloc_raw(size, 8);
+            assert_eq!(ptr as usize % tier, 0, "class {size}");
             // SAFETY: `ptr` came from `alloc_raw` with the same size/align and is not used again.
-            unsafe { free_raw(ptr, size, 16) };
+            unsafe { free_raw(ptr, size, 8) };
         }
+        // A line-aligned request below 64 B is served from the line tier.
+        let (ptr, _) = alloc_raw(32, LINE);
+        assert_eq!(ptr as usize % LINE, 0);
+        // SAFETY: `ptr` came from `alloc_raw` with the same size/align and is not used again.
+        unsafe { free_raw(ptr, 32, LINE) };
     }
 }

@@ -15,9 +15,10 @@
 //! * **Allocation-free steady state** — transaction scratch (read set, write
 //!   log, retirement bag, post-commit queue) is pooled per thread, the write
 //!   log is a flat array of monomorphic records rather than boxed trait
-//!   objects, and cell payloads are carved from a recycling size-classed
-//!   slab; after warmup, a read-modify-write transaction touches the global
-//!   allocator zero times (see `docs/PERF.md`).
+//!   objects, and cell payloads are carved from [`arena`], the recycling
+//!   size-classed allocator that also serves the skip hash's node blocks
+//!   and chain buffers; after warmup, a read-modify-write transaction
+//!   touches the global allocator zero times (see `docs/PERF.md`).
 //! * **Eager acquisition with undo logging** — writers acquire the orec on
 //!   first write and publish the new value immediately; an abort restores the
 //!   previous value.
@@ -95,7 +96,6 @@ pub mod clock;
 pub mod error;
 pub mod orec;
 mod scratch;
-mod slab;
 pub mod snapshot;
 pub mod stats;
 pub mod sync;

@@ -9,8 +9,8 @@
 //! Deliberately *not* routed through the `crate::sync` facade: these
 //! counters synchronize nothing, and some updates are conditional on
 //! process-global allocator state (e.g. `record_hot_path` skips the RMW
-//! when no slab block was recycled).  Instrumenting them would make the
-//! model checker's schedule-point sequence depend on cross-execution slab /
+//! when no payload block was recycled).  Instrumenting them would make the
+//! model checker's schedule-point sequence depend on cross-execution arena /
 //! epoch state, breaking replay-token determinism.
 
 use std::fmt;
@@ -271,7 +271,7 @@ pub struct StatsSnapshot {
     /// Reads answered by the read-set dedup filter instead of growing the
     /// read set (re-reads of already-validated cells).
     pub read_dedup_hits: u64,
-    /// Transactional writes whose payload came from a recycled slab block
+    /// Transactional writes whose payload came from a recycled arena block
     /// rather than the global allocator.
     pub slab_recycle_hits: u64,
     /// Skip-hash node blocks served from recycled arena memory rather than

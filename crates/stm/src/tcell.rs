@@ -5,9 +5,9 @@ use std::fmt;
 
 use crossbeam_epoch::{self as epoch, Atomic, Shared};
 
+use crate::arena;
 use crate::error::TxResult;
 use crate::orec::{Orec, OrecState};
-use crate::slab;
 use crate::snapshot::{self, CommitCtx, SnapshotPin};
 use crate::txn::Txn;
 
@@ -19,7 +19,8 @@ use crate::txn::Txn;
 /// can never observe a torn value: writers install a freshly allocated value
 /// and retire the previous one through epoch-based reclamation.
 ///
-/// Value storage comes from the size-classed slab (see `docs/PERF.md`):
+/// Value storage comes from the size-classed [`crate::arena`] (see
+/// `docs/PERF.md`):
 /// small payloads are carved from recycled blocks rather than the global
 /// allocator, so steady-state write churn — the `Link` towers of the skip
 /// hash above all — performs no heap allocation.  Types that are too large
@@ -83,7 +84,7 @@ impl<T> TCell<T> {
     /// ahead of the clock conflicts with every transaction until the clock
     /// catches up.
     pub fn new_at(value: T, version: u64) -> Self {
-        let (ptr, _) = slab::alloc_value(value);
+        let (ptr, _) = arena::alloc_value(value);
         let data = Atomic::null();
         data.store(Shared::from(ptr as *const T), Ordering::Relaxed);
         Self {
@@ -174,7 +175,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                 // they can never collide with it in practice.
                 const STORE_OWNER: u64 = (1 << 62) - 1;
                 if self.orec.try_acquire(version, STORE_OWNER) {
-                    let (ptr, _) = slab::alloc_value(value);
+                    let (ptr, _) = arena::alloc_value(value);
                     let guard = epoch::pin();
                     let old =
                         self.data
@@ -182,7 +183,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                     self.shadow.on_write();
                     // SAFETY: `old` is unreachable once swapped out; the glue
                     // matches this cell's allocation path.
-                    unsafe { guard.defer_with(old.as_raw() as *mut (), slab::drop_glue::<T>()) };
+                    unsafe { guard.defer_with(old.as_raw() as *mut (), arena::drop_glue::<T>()) };
                     self.orec.release(version);
                     return;
                 }
@@ -296,13 +297,13 @@ impl<T> Drop for TCell<T> {
             snapshot::purge_cell(self as *const Self as usize);
         }
         // We have exclusive access; reclaim the current value immediately
-        // (returning its block to the slab).
+        // (returning its block to the arena).
         // SAFETY: `&mut self` guarantees no concurrent access, and the
         // pointer is either null or owned by this cell.
         unsafe {
             let shared = self.data.load(Ordering::Relaxed, epoch::unprotected());
             if !shared.is_null() {
-                slab::free_value_now(shared.as_raw() as *mut T);
+                arena::free_value_now(shared.as_raw() as *mut T);
             }
         }
     }
@@ -373,10 +374,10 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
                     ctx.tag,
                     old_version,
                     old_data as *mut (),
-                    slab::drop_glue::<T>(),
+                    arena::drop_glue::<T>(),
                 );
             } else {
-                retired.defer_with(old_data as *mut (), slab::drop_glue::<T>());
+                retired.defer_with(old_data as *mut (), arena::drop_glue::<T>());
             }
         }
         (*(cell as *const TCell<T>)).orec.release(version);
@@ -400,7 +401,7 @@ unsafe fn abort_write<T: Send + Sync + 'static>(
         let current = cell.data.swap(old, Ordering::AcqRel, guard);
         cell.shadow.on_write();
         if !current.is_null() {
-            retired.defer_with(current.as_raw() as *mut (), slab::drop_glue::<T>());
+            retired.defer_with(current.as_raw() as *mut (), arena::drop_glue::<T>());
         }
         cell.orec.release(old_version);
     }
@@ -528,7 +529,7 @@ mod tests {
 
     #[test]
     fn slab_ineligible_values_still_round_trip() {
-        // 1 KiB payloads exceed every slab class, exercising the Box
+        // 1 KiB payloads exceed every payload class, exercising the Box
         // fallback across write, overwrite, and store_atomic.
         let stm = Stm::new();
         let cell = TCell::new([1u8; 1024]);
@@ -547,7 +548,7 @@ mod tests {
         // must be dropped exactly once when its block is recycled.
         let stm = Stm::new();
         let cell = TCell::new(String::from("start"));
-        // Enough churn to cycle blocks through the slab several times; Miri
+        // Enough churn to cycle blocks through the arena several times; Miri
         // runs a scaled-down count (interpreted execution is ~1000x slower).
         let rounds: usize = if cfg!(miri) { 64 } else { 1000 };
         for i in 0..rounds {

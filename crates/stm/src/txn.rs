@@ -6,11 +6,11 @@ use std::fmt;
 use crossbeam_epoch::{self as epoch, Guard, Shared};
 use crossbeam_utils::Backoff;
 
+use crate::arena;
 use crate::clock::{ClockKind, ClockSource};
 use crate::error::{SingleAttemptFailed, TxAbort, TxResult};
 use crate::orec::{Orec, OrecState};
 use crate::scratch::{self, PostCommit, ReadEntry, ScratchLease, TxnScratch};
-use crate::slab;
 use crate::snapshot::{CommitCtx, SnapshotPin, SnapshotRegistry};
 use crate::stats::{StatsSnapshot, StmStats};
 use crate::tcell::{TCell, WriteEntry};
@@ -26,7 +26,6 @@ use crate::tcell::{TCell, WriteEntry};
 #[derive(Debug)]
 pub struct StmBuilder {
     clock: ClockKind,
-    auto_threshold: usize,
 }
 
 impl Default for StmBuilder {
@@ -39,12 +38,10 @@ impl StmBuilder {
     /// Start building with the default ([`ClockKind::Sampled`]) clock, whose
     /// quiescence fast path lets uncontended writer commits skip read-set
     /// validation (see the `clock` module docs).  Use
-    /// [`StmBuilder::clock`] for the `gv1` counter, the hardware TSC, or the
-    /// parallelism-based [`ClockKind::Auto`] selection.
+    /// [`StmBuilder::clock`] for the `gv1` counter or the hardware TSC.
     pub fn new() -> Self {
         Self {
             clock: ClockKind::Sampled,
-            auto_threshold: ClockKind::AUTO_HARDWARE_THRESHOLD,
         }
     }
 
@@ -54,24 +51,11 @@ impl StmBuilder {
         self
     }
 
-    /// Override the hardware-thread count at which [`ClockKind::Auto`]
-    /// chooses `Hardware` over `Sampled` (default:
-    /// [`ClockKind::AUTO_HARDWARE_THRESHOLD`]).  Has no effect on concrete
-    /// clock kinds.
-    pub fn auto_threshold(mut self, threshold: usize) -> Self {
-        self.auto_threshold = threshold;
-        self
-    }
-
     /// Construct the [`Stm`].
-    ///
-    /// [`ClockKind::Auto`] is resolved here, once; the built runtime reports
-    /// the concrete choice from [`Stm::clock_kind`].
     pub fn build(self) -> Stm {
-        let kind = self.clock.resolve_with(self.auto_threshold);
         Stm {
-            clock: kind.build(),
-            clock_kind: kind,
+            clock: self.clock.build(),
+            clock_kind: self.clock,
             stats: StmStats::new(),
             attempt_ids: AtomicU64::new(1),
             snapshots: SnapshotRegistry::new(),
@@ -288,7 +272,7 @@ pub struct Txn<'stm> {
     scratch: ScratchLease,
     /// Reads served from the dedup filter instead of growing the read set.
     dedup_hits: u32,
-    /// Writes whose payload came from a recycled slab block.
+    /// Writes whose payload came from a recycled arena block.
     slab_hits: u32,
     /// The version this attempt committed at (writers: the clock tick's
     /// `wv`; read-only commits: the read version, at which every read is
@@ -532,7 +516,7 @@ impl<'stm> Txn<'stm> {
             // we previously installed.  The intermediate value may have been
             // glimpsed by concurrent (doomed) readers, so retire it through
             // the epoch rather than dropping in place.
-            let (ptr, recycled) = slab::alloc_value(value);
+            let (ptr, recycled) = arena::alloc_value(value);
             self.slab_hits += u32::from(recycled);
             let old = cell
                 .data
@@ -548,7 +532,7 @@ impl<'stm> Txn<'stm> {
             unsafe {
                 self.scratch
                     .retired
-                    .defer_with(old as *mut (), slab::drop_glue::<T>())
+                    .defer_with(old as *mut (), arena::drop_glue::<T>())
             };
             return Ok(());
         }
@@ -567,7 +551,7 @@ impl<'stm> Txn<'stm> {
         if !cell.orec.try_acquire(old_version, self.id) {
             return Err(TxAbort::WriteConflict);
         }
-        let (ptr, recycled) = slab::alloc_value(value);
+        let (ptr, recycled) = arena::alloc_value(value);
         self.slab_hits += u32::from(recycled);
         let old = cell
             .data
@@ -773,31 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_clock_is_resolved_at_construction() {
-        // Whatever the machine, the built runtime must report a concrete
-        // kind, and the override threshold must steer the choice.
-        let auto = StmBuilder::new().clock(ClockKind::Auto).build();
-        assert_ne!(auto.clock_kind(), ClockKind::Auto);
-        let big_box = StmBuilder::new()
-            .clock(ClockKind::Auto)
-            .auto_threshold(1)
-            .build();
-        assert_eq!(big_box.clock_kind(), ClockKind::Hardware);
-        let small_box = StmBuilder::new()
-            .clock(ClockKind::Auto)
-            .auto_threshold(usize::MAX)
-            .build();
-        assert_eq!(small_box.clock_kind(), ClockKind::Sampled);
-        // The resolved runtime behaves like its concrete kind end to end.
-        let cell = TCell::new(0u64);
-        small_box.run(|tx| {
-            let v = cell.read(tx)?;
-            cell.write(tx, v + 1)
-        });
-        assert_eq!(small_box.stats().validation_skipped_commits, 1);
-    }
-
-    #[test]
     fn read_only_transactions_do_not_tick_the_clock() {
         let stm = Stm::with_clock(ClockKind::Counter);
         let cell = TCell::new(5u64);
@@ -962,7 +921,7 @@ mod tests {
         let stm = Stm::new();
         let cell = TCell::new(0u64);
         // Enough commits to cycle retired payloads through the epoch and
-        // back into the slab magazines.
+        // back into the arena magazines.
         for i in 0..2_000u64 {
             stm.run(|tx| cell.write(tx, i));
         }

@@ -2,7 +2,7 @@
 //!
 //! The STM's steady-state commit path is supposed to be allocation-free:
 //! transaction scratch is pooled per thread, the write log is unboxed, cell
-//! payloads come from the recycling slab, and the epoch shim recycles its
+//! payloads come from the recycling arena, and the epoch shim recycles its
 //! sealed bags.  These tests install a counting global allocator and prove
 //! it, so a future change that sneaks a `Box` or a fresh `Vec` back onto the
 //! hot path fails CI instead of quietly regressing throughput.
@@ -56,7 +56,7 @@ fn count_allocs(body: impl FnOnce()) -> u64 {
 fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     // ---- 1. The canonical read-modify-write transaction: ZERO allocations.
     //
-    // After warmup the scratch pool holds the transaction buffers, the slab
+    // After warmup the scratch pool holds the transaction buffers, the arena
     // magazines hold enough payload blocks to cover the epoch's in-flight
     // window, and the epoch's bag pool covers the seal/collect cycle.
     let stm = Stm::new();
@@ -150,7 +150,7 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     // * tower heights are sampled geometrically at run time, so cycle blocks
     //   of every height class through the epoch once — otherwise a rare tall
     //   tower's *first-ever* block can legitimately mint mid-measurement;
-    // * the link/counter payload class (the slab's smallest) carries a
+    // * the link/counter payload class (the arena's smallest) carries a
     //   standing in-flight population of a couple thousand blocks whose size
     //   fluctuates with the height distribution, so give it headroom up
     //   front instead of letting the high-water mark be discovered by

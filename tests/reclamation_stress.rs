@@ -269,13 +269,13 @@ fn txn_alloc_objects_survive_abort_and_rollback() {
     );
 }
 
-/// The slab under churn: contended writers recycle payload blocks across
+/// Payload recycling under churn: contended writers recycle payload blocks across
 /// threads (a block retired by one thread's commit is freed by whichever
 /// thread drives collection and reused by *its* next write), aborted
 /// attempts retire through the rollback glue, non-transactional
 /// `store_atomic` shares the same blocks, and an oversized payload exercises
 /// the `Box` fallback side by side.  Every clone ever made must be dropped
-/// exactly once — a double free into the slab free list would surface here
+/// exactly once — a double free into an arena free list would surface here
 /// (and under ASan) as an imbalance or corruption.
 #[test]
 fn slab_recycling_balances_drops_under_cross_thread_churn() {
@@ -285,12 +285,12 @@ fn slab_recycling_balances_drops_under_cross_thread_churn() {
 
     let live = Arc::new(AtomicIsize::new(0));
     let stm = Arc::new(Stm::new());
-    // 24-byte `Balanced` payloads ride the slab; the 1 KiB array cells take
+    // 24-byte `Balanced` payloads ride the arena; the 1 KiB array cells take
     // the Box fallback (ineligible size) in the same transactions.  The
     // `store_cells` are dedicated to non-transactional `store_atomic` /
     // `load_atomic` traffic (mixing those with transactional writes on one
     // cell is outside `store_atomic`'s init/teardown contract) — they churn
-    // the same slab classes from a different entry point.
+    // the same arena classes from a different entry point.
     let cells: Arc<Vec<TCell<Balanced>>> = Arc::new(
         (0..CELLS as u64)
             .map(|i| TCell::new(Balanced::new(&live, i)))
@@ -323,7 +323,7 @@ fn slab_recycling_balances_drops_under_cross_thread_churn() {
                                 big.write(tx, [i as u8; 1024])
                             });
                         }
-                        // Non-transactional store sharing the same slab.
+                        // Non-transactional store sharing the same arena classes.
                         2 => {
                             store_cells[(t + i) % CELLS]
                                 .store_atomic(Balanced::new(&live, i as u64));
