@@ -389,10 +389,6 @@ mod tests {
         assert!(!pooled(4097, 8), "oversized blocks fall back");
         assert!(!pooled(0, 8), "zero-size requests fall back");
         assert!(!pooled(64, 128), "over-aligned blocks fall back");
-        // Payload classes are the smallest fitting ones.
-        assert_eq!(payload_class::<u64>(), Some(0));
-        assert_eq!(payload_class::<[u8; 17]>(), Some(1));
-        assert_eq!(CLASS_SIZES[payload_class::<[u8; 256]>().unwrap()], 256);
         // Exhaustive on native runs; Miri strides to keep the interpreted
         // run fast while still probing every class boundary region.
         let step = if cfg!(miri) { 7 } else { 1 };
@@ -404,6 +400,18 @@ mod tests {
             }
             let line_class = class_of(size, LINE).expect("covered");
             assert!(CLASS_SIZES[line_class] >= size.max(LINE));
+        }
+    }
+
+    #[test]
+    fn classes_cover_the_eligible_range() {
+        // Payload classes are the smallest fitting ones.
+        assert_eq!(payload_class::<u64>(), Some(0));
+        assert_eq!(payload_class::<[u8; 17]>(), Some(1));
+        assert_eq!(CLASS_SIZES[payload_class::<[u8; 256]>().unwrap()], 256);
+        for size in 1..=MAX_PAYLOAD {
+            let class = class_of(size, SMALL_ALIGN).expect("eligible sizes are pooled");
+            assert!(CLASS_SIZES[class] >= size);
         }
     }
 
@@ -447,8 +455,11 @@ mod tests {
         assert_eq!(first, second, "LIFO magazine returns the same block");
         // SAFETY: `second` came from `alloc_raw` with the same size/align and is not used again.
         unsafe { free_raw(second, 3000, 16) };
+    }
 
-        // The same holds for typed payloads (192-byte class).
+    #[test]
+    fn freed_blocks_are_recycled() {
+        // Typed payloads, in a distinctive (192-byte) class.
         type Block = [u64; 24];
         let (first, _) = alloc_value::<Block>([7; 24]);
         // SAFETY: `first` came from `alloc_value::<Block>` and is not reused.
@@ -496,8 +507,10 @@ mod tests {
         assert_eq!(aligned as usize % 128, 0);
         // SAFETY: `aligned` came from `alloc_raw` with the same size/align and is not used again.
         unsafe { free_raw(aligned, 128, 128) };
+    }
 
-        // Ineligible payloads are boxed and never report a recycled block.
+    #[test]
+    fn ineligible_values_round_trip_through_boxes() {
         let (ptr, recycled) = alloc_value([0u8; 1024]);
         assert!(!recycled);
         // SAFETY: `ptr` came from `alloc_value` with the same type; not reused.

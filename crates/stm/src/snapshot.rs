@@ -41,16 +41,28 @@
 //!
 //! History entries are freed on three paths:
 //!
-//! * **Drop-trim** — dropping a pin re-collects the surviving pins and frees
-//!   every entry whose resolution window no remaining pin intersects.  Frees
-//!   are routed through the epoch (`defer_with`): an epoch-pinned reader on
-//!   the *current-value* path may still hold a payload that a concurrent
-//!   commit just moved into history.
+//! * **Drop-trim** — dropping a pin samples the clock (the *horizon*),
+//!   re-collects the surviving pins, and frees every entry whose resolution
+//!   window no collected pin intersects and that was displaced at or below
+//!   the horizon.  Frees are routed through the epoch (`defer_with`): an
+//!   epoch-pinned reader on the *current-value* path may still hold a
+//!   payload that a concurrent commit just moved into history.
 //! * **Cell teardown** — [`TCell`](crate::TCell)'s destructor purges its own chain
 //!   immediately (the cell is provably unreachable), which also protects the
 //!   table against address reuse.
-//! * **Full drain** — when the last pin of a runtime drops, every chain
-//!   tagged with that runtime is freed wholesale.
+//! * **Full drain** — when the last pin of a runtime drops, every entry of
+//!   that runtime displaced at or below its horizon is freed.
+//!
+//! The horizon closes the race with a pin registered *after* the dropper's
+//! collect: the dropper samples the clock after its fence and before the
+//! collect, so a pin its collect missed sampled its version after the
+//! horizon and is `>= horizon`.  Every entry that pin resolves through was
+//! displaced above its version (`end > version >= horizon`), so keeping every
+//! entry with `end > horizon` keeps everything an unseen pin can need.  Such
+//! an entry was preserved because its commit saw some pin (or a `PENDING`
+//! slot) that was still registered when the commit collected, and that pin's
+//! own drop samples a horizon at or above the entry's `end`, so the later
+//! drop frees it.
 //!
 //! A commit that collected a pin may push its entry *after* a concurrent
 //! drop-trim ran; such an entry is retained transiently and reclaimed by the
@@ -202,6 +214,10 @@ impl CommitCtx<'_> {
 /// newer entry (or the cell's current orec version).
 struct HistoryEntry {
     start: u64,
+    /// Stamp of the commit that displaced the payload (the exclusive end of
+    /// its validity window); drop-trims keep entries displaced above their
+    /// horizon.
+    end: u64,
     data: *mut (),
     drop_fn: unsafe fn(*mut ()),
 }
@@ -281,14 +297,15 @@ pub(crate) fn any_history() -> bool {
     LIVE_ENTRIES.load(Ordering::Relaxed) > 0
 }
 
-/// Preserve `data` (displaced at commit version `wv`, valid since `start`)
+/// Preserve `data` (displaced at commit version `end`, valid since `start`)
 /// for the cell at `cell`.  Called by the commit glue *before* the orec is
-/// released at `wv`, so any reader that observes the new version finds the
+/// released at `end`, so any reader that observes the new version finds the
 /// entry.
 pub(crate) fn push_history(
     cell: usize,
     tag: usize,
     start: u64,
+    end: u64,
     data: *mut (),
     drop_fn: unsafe fn(*mut ()),
 ) {
@@ -309,6 +326,7 @@ pub(crate) fn push_history(
         0,
         HistoryEntry {
             start,
+            end,
             data,
             drop_fn,
         },
@@ -355,11 +373,12 @@ pub(crate) fn purge_cell(cell: usize) {
 }
 
 /// Trim the history chains tagged `tag`, keeping only entries some pin in
-/// `pins` still resolves through.  `pending` keeps everything (a pin of
-/// unknown version is mid-registration).  Frees ride the epoch: a pinned
-/// current-path reader may hold a payload that just transitioned into
-/// history.
-fn trim_tagged(tag: usize, pins: &[u64], pending: bool) {
+/// `pins` still resolves through or that were displaced above `horizon` (a
+/// pin registered after `pins` was collected may need those).  `pending`
+/// keeps everything (a pin of unknown version is mid-registration).  Frees
+/// ride the epoch: a pinned current-path reader may hold a payload that just
+/// transitioned into history.
+fn trim_tagged(tag: usize, pins: &[u64], pending: bool, horizon: u64) {
     if pending {
         return;
     }
@@ -378,12 +397,15 @@ fn trim_tagged(tag: usize, pins: &[u64], pending: bool) {
             // any pin reaches it).
             let mut previous_start = u64::MAX;
             chain.entries.retain(|entry| {
-                let needed = pins.iter().any(|&p| p >= entry.start && p < previous_start);
+                let needed = entry.end > horizon
+                    || pins.iter().any(|&p| p >= entry.start && p < previous_start);
                 previous_start = entry.start;
                 if !needed {
                     freed += 1;
-                    // SAFETY: no live pin resolves through this entry, and
-                    // current-path readers are covered by the epoch defer.
+                    // SAFETY: no collected pin resolves through this entry, a
+                    // pin the collect missed has a version >= `horizon` >=
+                    // `end`, and current-path readers are covered by the
+                    // epoch defer.
                     unsafe { guard.defer_with(entry.data, entry.drop_fn) };
                 }
                 needed
@@ -465,9 +487,13 @@ impl Drop for SnapshotPin {
         registry.slots[self.slot].store(FREE, Ordering::SeqCst);
         registry.live.fetch_sub(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
+        // SC: the horizon sample precedes the collect, so a pin the collect
+        // misses claimed its slot after this sample and pins a version
+        // `>= horizon` (see "Custody and reclamation" above).
+        let horizon = self.stm.clock_now();
         let mut pins = Vec::new();
         let pending = registry.collect_into(&mut pins);
-        trim_tagged(Arc::as_ptr(&self.stm) as usize, &pins, pending);
+        trim_tagged(Arc::as_ptr(&self.stm) as usize, &pins, pending, horizon);
     }
 }
 

@@ -373,6 +373,7 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
                     cell as usize,
                     ctx.tag,
                     old_version,
+                    version,
                     old_data as *mut (),
                     arena::drop_glue::<T>(),
                 );
