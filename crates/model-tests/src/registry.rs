@@ -452,11 +452,11 @@ pub fn rqc_handoff_body(handoff_ok: bool) -> impl Fn() + Send + Sync + 'static {
 }
 
 // ---------------------------------------------------------------------------
-// Borrowed hops (crates/skiphash/src/node.rs `RawNode` + the range.rs scans)
+// Borrowed hops (crates/skiphash/src/node.rs `RawNode` + the skiplist.rs scan cursor)
 // ---------------------------------------------------------------------------
 
 /// A transcription of the borrowed-hop scan recipe onto the race detector:
-/// the scan loops in `skiphash::range` chase tower links through `RawNode`
+/// the scan cursor in `skiphash::skiplist` chases tower links through `RawNode`
 /// handles — pointer-only copies whose `unsafe fn node()` contract is
 /// "dereference only inside the attempt whose epoch guard pinned you".
 /// The pin is the *entire* safety argument: an unstitched node is retired,

@@ -1,6 +1,6 @@
 //! Model checks for the borrowed-hop dereference window.
 //!
-//! The raw scan loops in `skiphash::range` hop tower links through
+//! The scan cursor in `skiphash::skiplist` hops tower links through
 //! `RawNode` handles: a link is loaded once and the resulting pointer is
 //! dereferenced *later*, with nothing revalidated in between.  The only
 //! thing standing between that dereference and a concurrent unstitch +

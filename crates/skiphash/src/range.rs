@@ -7,6 +7,17 @@
 //! only on *safe nodes* — nodes guaranteed not to be unstitched before the
 //! query finishes.
 //!
+//! Both paths, [`SkipHash::range_rev`], the whole-map copies,
+//! [`TxView::range`](crate::TxView::range) and the snapshot scans are one
+//! level-0 walk: the skip list's crate-private scan cursor.  It is generic
+//! over a *read mode* — a transaction attempt (`&mut Txn`) or a snapshot
+//! pin (`&SnapshotPin`) — and takes a direction and a visibility rule:
+//! "logically present" for the fast path, `range_rev` and snapshots, "safe
+//! for version v" for the slow path's custody walk.  Each read mode states
+//! why borrowed node handles stay valid once, at its `unsafe impl ReadMode`
+//! in `skiplist.rs`; this module only picks the mode, the bounds and the
+//! rule.
+//!
 //! [`SkipHash::range`] accepts any `RangeBounds<K>` (`1..=5`, `..`, `3..`,
 //! `(Bound::Excluded(a), Bound::Included(b))`, …) and returns an owned
 //! [`Range`] iterator over the snapshot.  An inverted range (start above
@@ -15,7 +26,6 @@
 //! into a crash.
 
 use skiphash_stm::sync::Ordering;
-use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::iter::FusedIterator;
 use std::ops::Bound as StdBound;
@@ -25,7 +35,8 @@ use skiphash_stm::{TxResult, Txn};
 
 use crate::config::RangePolicy;
 use crate::map::{Inner, SkipHash};
-use crate::node::{Bound as NodeBound, NodeRef, RawNode};
+use crate::node::NodeRef;
+use crate::skiplist::{Start, Visible, Walk};
 use crate::{MapKey, MapValue};
 
 /// Collection vectors are pre-sized from the sharded population estimate,
@@ -120,25 +131,6 @@ pub(crate) fn range_is_empty<K: Ord>(start: &StdBound<K>, end: &StdBound<K>) -> 
     }
 }
 
-/// True when a node at `position` still lies at or below the end bound.
-pub(crate) fn end_allows<K: Ord>(position: &NodeBound<K>, end: StdBound<&K>) -> bool {
-    match end {
-        StdBound::Unbounded => true,
-        StdBound::Included(h) => position.is_at_most(h),
-        StdBound::Excluded(h) => position.is_before(h),
-    }
-}
-
-/// True when a node at `position` still lies at or above the start bound
-/// (the back-walk's mirror of [`end_allows`]).
-pub(crate) fn start_allows<K: Ord>(position: &NodeBound<K>, start: StdBound<&K>) -> bool {
-    match start {
-        StdBound::Unbounded => true,
-        StdBound::Included(l) => !position.is_before(l),
-        StdBound::Excluded(l) => position.cmp_key(l) == CmpOrdering::Greater,
-    }
-}
-
 impl<K: MapKey, V: MapValue> Inner<K, V> {
     /// How many pairs to reserve before a collection walk: the sharded
     /// population estimate, clamped (see [`RANGE_PRESIZE_CAP`]).
@@ -146,161 +138,25 @@ impl<K: MapKey, V: MapValue> Inner<K, V> {
         self.population.total().min(RANGE_PRESIZE_CAP)
     }
 
-    /// Walk the range inside `tx` (fast-path style: one transaction sees the
-    /// whole snapshot).  Shared by the fast path and by
+    /// Collect the range inside `tx`, ascending or (`rev`) descending, with
+    /// the caller's key extractor (`K::clone`, or a copy-out for `Copy`
+    /// keys): one transaction sees the whole snapshot.  Shared by the fast
+    /// path, [`SkipHash::range_rev`], the whole-map copies, and
     /// [`TxView::range`](crate::TxView::range).
     pub(crate) fn collect_range(
         &self,
         tx: &mut Txn<'_>,
         start: StdBound<&K>,
         end: StdBound<&K>,
-    ) -> TxResult<Vec<(K, V)>> {
-        self.collect_range_with(tx, start, end, &K::clone)
-    }
-
-    /// [`Inner::collect_range`] with a caller-chosen key extractor (`|k| *k`
-    /// for `Copy` keys, `K::clone` otherwise), hopping on borrowed
-    /// [`RawNode`] handles: zero refcount traffic per link, one software
-    /// prefetch of the successor per element (docs/PERF.md, Mechanism 6).
-    pub(crate) fn collect_range_with(
-        &self,
-        tx: &mut Txn<'_>,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
+        rev: bool,
         extract: &impl Fn(&K) -> K,
     ) -> TxResult<Vec<(K, V)>> {
         let mut out = Vec::new();
-        if range_is_empty(&start, &end) {
-            return Ok(out);
-        }
-        out.reserve(self.collect_capacity());
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt `tx`, whose epoch guard stays
-        // pinned for the whole call — the RawNode validity contract.
-        let head = RawNode::from_ref(self.skiplist.head());
-        let mut node = match start {
-            // SAFETY: head handle; the attempt's guard is pinned (note above).
-            StdBound::Unbounded => unsafe { head.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel"),
-            StdBound::Included(low) => self.skiplist.ceil_raw_borrowed(tx, low)?,
-            StdBound::Excluded(low) => {
-                // Skip *every* node carrying the excluded key, including
-                // logically deleted duplicates lingering before the live one.
-                let mut node = self.skiplist.ceil_raw_borrowed(tx, low)?;
-                while {
-                    // SAFETY: same contract — read under this attempt.
-                    let n = unsafe { node.node() };
-                    !n.is_tail() && n.bound.cmp_key(low) == CmpOrdering::Equal
-                } {
-                    // SAFETY: same contract — read under this attempt.
-                    node = unsafe { node.node() }
-                        .level(0)
-                        .succ
-                        .read_with(tx, RawNode::from_link)?
-                        .expect("levels are always terminated by the tail sentinel");
-                }
-                node
-            }
-        };
-        loop {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            if n.is_tail() || !end_allows(&n.bound, end) {
-                break;
-            }
-            let next = n
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // Overlap the successor's cache miss with this element's
-            // mark/value reads — the level-0 scan's dominant stall.
-            next.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                out.push((extract(n.key()), value));
-            }
-            node = next;
-        }
-        Ok(out)
-    }
-
-    /// Walk the range *backwards* inside `tx` via the predecessor links,
-    /// yielding pairs in descending key order — the borrowed back-walk
-    /// behind [`SkipHash::range_rev`].
-    pub(crate) fn collect_range_rev_with(
-        &self,
-        tx: &mut Txn<'_>,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
-        extract: &impl Fn(&K) -> K,
-    ) -> TxResult<Vec<(K, V)>> {
-        let mut out = Vec::new();
-        if range_is_empty(&start, &end) {
-            return Ok(out);
-        }
-        out.reserve(self.collect_capacity());
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt `tx`, whose epoch guard stays
-        // pinned for the whole call — the RawNode validity contract.
-        //
-        // Position on the first node strictly *beyond* the end bound (the
-        // tail for an unbounded end), then step back once: its level-0
-        // predecessor is the last node the end bound allows.
-        let after_end = match end {
-            StdBound::Unbounded => RawNode::from_ref(self.skiplist.tail()),
-            StdBound::Excluded(high) => self.skiplist.ceil_raw_borrowed(tx, high)?,
-            StdBound::Included(high) => {
-                let mut node = self.skiplist.ceil_raw_borrowed(tx, high)?;
-                while {
-                    // SAFETY: same contract — read under this attempt.
-                    let n = unsafe { node.node() };
-                    !n.is_tail() && n.bound.cmp_key(high) == CmpOrdering::Equal
-                } {
-                    // SAFETY: same contract — read under this attempt.
-                    node = unsafe { node.node() }
-                        .level(0)
-                        .succ
-                        .read_with(tx, RawNode::from_link)?
-                        .expect("levels are always terminated by the tail sentinel");
-                }
-                node
-            }
-        };
-        // SAFETY: same contract — read under this attempt.
-        let mut node = unsafe { after_end.node() }
-            .level(0)
-            .pred
-            .read_with(tx, RawNode::from_link)?
-            .expect("interior nodes always have a level-0 predecessor");
-        loop {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            if n.is_head() || !start_allows(&n.bound, start) {
-                break;
-            }
-            let prev = n
-                .level(0)
-                .pred
-                .read_with(tx, RawNode::from_link)?
-                .expect("interior nodes always have a level-0 predecessor");
-            // Overlap the predecessor's cache miss with this element's
-            // mark/value reads, mirroring the forward scan.
-            prev.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                out.push((extract(n.key()), value));
-            }
-            node = prev;
+        if !range_is_empty(&start, &end) {
+            out.reserve(self.collect_capacity());
+            self.skiplist
+                .cursor(tx)
+                .range(start, end, rev, extract, &mut out)?;
         }
         Ok(out)
     }
@@ -400,8 +256,8 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
             return Range::new(Vec::new());
         }
         let pairs = self.inner.stm.run(|tx| {
-            self.inner
-                .collect_range_rev_with(tx, bound_as_ref(&start), bound_as_ref(&end), extract)
+            let (start, end) = (bound_as_ref(&start), bound_as_ref(&end));
+            self.inner.collect_range(tx, start, end, true, extract)
         });
         Range::new(pairs)
     }
@@ -418,16 +274,11 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         if range_is_empty(&start, &end) {
             return Some(Range::new(Vec::new()));
         }
-        self.range_fast(start, end).map(Range::new)
+        self.range_fast_with(start, end, &K::clone).map(Range::new)
     }
 
     /// One fast-path attempt: the entire query as a single transaction that
     /// does not retry on conflict.  Returns `None` if the attempt aborted.
-    pub(crate) fn range_fast(&self, start: StdBound<&K>, end: StdBound<&K>) -> Option<Vec<(K, V)>> {
-        self.range_fast_with(start, end, &K::clone)
-    }
-
-    /// [`SkipHash::range_fast`] with a caller-chosen key extractor.
     fn range_fast_with(
         &self,
         start: StdBound<&K>,
@@ -437,7 +288,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         let attempt = self
             .inner
             .stm
-            .try_once(|tx| self.inner.collect_range_with(tx, start, end, extract));
+            .try_once(|tx| self.inner.collect_range(tx, start, end, false, extract));
         match attempt {
             Ok(result) => {
                 self.inner
@@ -474,51 +325,43 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         // Setup transaction: find the starting node and acquire a version
         // number atomically, so the start node is a safe node for this query.
         // This commit is the query's linearization point.
+        let walk = Walk::Forward(end);
         let (start_node, version) = inner.stm.run(|tx| {
-            let start_node = match start {
-                StdBound::Unbounded => inner.skiplist.first_present(tx)?,
-                StdBound::Included(low) => inner.skiplist.ceil_present(tx, low)?,
-                StdBound::Excluded(low) => inner.skiplist.succ_present(tx, low)?,
-            };
-            let version = inner.rqc.on_range(tx)?;
-            Ok((start_node, version))
+            let start_node = inner
+                .skiplist
+                .cursor(&mut *tx)
+                .first(start, walk, Visible::Present)?
+                .upgrade();
+            Ok((start_node, inner.rqc.on_range(tx)?))
         });
 
-        // Collection phase.  `collected` and `node` are plain locals captured
-        // by the closure (`no_local_undo`): when an attempt aborts, all pairs
-        // gathered so far and the current safe node are retained, so the next
-        // attempt resumes exactly where the previous one stopped.
-        //
+        // Collection phase: the cursor shows only safe nodes.  `collected`
+        // and `last` are plain locals captured by the closure
+        // (`no_local_undo`): when an attempt aborts, all pairs gathered so
+        // far and the last collected node are retained, so the next attempt
+        // resumes right after it.  That node is safe, so it is still linked.
         // Inside one attempt the walk hops on borrowed handles; the counted
-        // local is only written back at each element boundary (the custody
-        // handoff point — the node the next attempt must resume from), so
-        // the safe-node search between elements pays no refcount traffic.
+        // `last` is written back once per element, the custody handoff point.
         let mut collected: Vec<(K, V)> = Vec::with_capacity(inner.collect_capacity());
-        let mut node: NodeRef<K, V> = start_node;
+        let mut last: Option<NodeRef<K, V>> = None;
         inner.stm.run(|tx| {
-            loop {
-                let raw = RawNode::from_ref(&node);
-                // SAFETY: (this and every `node()` below) the handle is
-                // rooted in the counted local `node` or was read through a
-                // link cell inside this same attempt, whose epoch guard
-                // stays pinned — the RawNode validity contract.
-                let n = unsafe { raw.node() };
-                if n.is_tail() || !end_allows(&n.bound, end) {
-                    break;
-                }
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                let next = self.next_safe(tx, raw, version)?;
-                // Only update the locals once everything read for this node
-                // is known to be consistent, so an abort never records a
-                // partially processed node (and never records it twice).
-                collected.push((extract(n.key()), value));
-                // SAFETY: obtained under the still-running attempt `tx`.
-                node = unsafe { next.upgrade() };
-            }
-            Ok(())
+            let resume = last.clone();
+            let start = match &resume {
+                None => Start::At(&start_node),
+                Some(last) => Start::After(last),
+            };
+            let safe = Visible::SafeFor(version);
+            inner
+                .skiplist
+                .cursor(tx)
+                .scan(start, walk, safe, |mut node| {
+                    let pair = node.pair(extract)?;
+                    // Nothing fallible between the push and the write-back, so
+                    // an abort never records a partial element or a double push.
+                    collected.push(pair);
+                    last = Some(node.upgrade());
+                    Ok(())
+                })
         });
 
         // Finalization: deregister from the RQC and unstitch any nodes whose
@@ -532,57 +375,6 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
             .slow_complete
             .fetch_add(1, Ordering::Relaxed);
         collected
-    }
-
-    /// Find the next safe node after `node` for a query with version
-    /// `version` by walking the bottom level on borrowed handles.  The tail
-    /// sentinel is always safe, so this always terminates.
-    fn next_safe(
-        &self,
-        tx: &mut Txn<'_>,
-        node: RawNode<K, V>,
-        version: u64,
-    ) -> TxResult<RawNode<K, V>> {
-        // SAFETY: (every `node()` below) each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
-        let mut candidate = unsafe { node.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // Warm the candidate's header line ahead of the safety test's
-        // timestamp reads.
-        candidate.prefetch();
-        while !Self::is_safe(tx, candidate, version)? {
-            // SAFETY: same contract — read under this attempt.
-            candidate = unsafe { candidate.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            candidate.prefetch();
-        }
-        Ok(candidate)
-    }
-
-    /// §4.3's safety test: sentinels are always safe; a node is safe for a
-    /// query with version `version` iff it was inserted before the query
-    /// began and was not logically deleted before the query began.
-    fn is_safe(tx: &mut Txn<'_>, node: RawNode<K, V>, version: u64) -> TxResult<bool> {
-        // SAFETY: the handle was obtained inside this same attempt, whose
-        // epoch guard stays pinned — the RawNode validity contract.
-        let n = unsafe { node.node() };
-        if n.is_sentinel() {
-            return Ok(true);
-        }
-        if n.i_time.read_with(tx, |t| *t)? >= version {
-            return Ok(false);
-        }
-        Ok(match n.r_time.read_with(tx, |t| *t)? {
-            None => true,
-            Some(removed_at) => removed_at >= version,
-        })
     }
 }
 
@@ -608,9 +400,11 @@ impl<K: MapKey + Copy, V: MapValue> SkipHash<K, V> {
     /// [`SkipHash::to_vec`](crate::SkipHash::to_vec) for `Copy` keys (see
     /// [`SkipHash::range_copied`]).
     pub fn to_vec_copied(&self) -> Vec<(K, V)> {
-        self.inner
-            .stm
-            .run(|tx| self.inner.skiplist.collect_present_with(tx, &|k: &K| *k))
+        self.inner.stm.run(|tx| {
+            let unbounded = StdBound::Unbounded;
+            self.inner
+                .collect_range(tx, unbounded, unbounded, false, &|k: &K| *k)
+        })
     }
 }
 
@@ -653,8 +447,6 @@ mod tests {
     fn all_bound_shapes_agree_with_btreemap() {
         use std::collections::BTreeMap;
         use std::ops::Bound::*;
-        let map = map_with_policy(RangePolicy::TwoPath { tries: 3 });
-        fill(&map, [1, 3, 5, 7, 9]);
         let reference: BTreeMap<u64, u64> = [1, 3, 5, 7, 9].map(|k| (k, k * 10)).into();
         let cases: Vec<(StdBound<u64>, StdBound<u64>)> = vec![
             (Unbounded, Unbounded),
@@ -668,16 +460,77 @@ mod tests {
             (Excluded(3), Excluded(7)),
             (Excluded(0), Excluded(100)),
         ];
-        for (start, end) in cases {
-            let expected: Vec<(u64, u64)> = reference
-                .range((start, end))
-                .map(|(k, v)| (*k, *v))
-                .collect();
-            assert_eq!(
-                collect(&map, (start, end)),
-                expected,
-                "bounds ({start:?}, {end:?})"
-            );
+        let policies = [
+            RangePolicy::TwoPath { tries: 3 },
+            RangePolicy::FastOnly,
+            RangePolicy::SlowOnly,
+        ];
+        for policy in policies {
+            // Two inputs with the same present keys: a plain fill, and one
+            // whose boundary keys 3 and 7 were removed and reinserted while
+            // a slow-path query was registered, so buffered removal leaves
+            // each logically deleted node linked right before its live
+            // duplicate.
+            for churn in [false, true] {
+                let map: SkipHash<u64, u64> = SkipHashBuilder::new()
+                    .buckets(512)
+                    .max_level(12)
+                    .range_policy(policy)
+                    .removal_policy(RemovalPolicy::Buffered(16))
+                    .build();
+                fill(&map, [1, 3, 5, 7, 9]);
+                if churn {
+                    let inner = &map.inner;
+                    let version = inner.stm.run(|tx| inner.rqc.on_range(tx));
+                    for k in [3, 7] {
+                        assert!(map.remove(&k));
+                        assert!(map.insert(k, k * 10));
+                    }
+                    let deferred = inner.stm.run(|tx| inner.rqc.after_range(tx, version));
+                    assert!(deferred.is_empty(), "buffered removals are not handed over");
+                    for k in [3, 7] {
+                        let first = inner.stm.run(|tx| inner.skiplist.ceil_raw(tx, &k));
+                        assert!(
+                            first.r_time.load_atomic().is_some(),
+                            "{k}: no deleted duplicate"
+                        );
+                    }
+                }
+                let snap = map.snapshot();
+                let all = map.to_vec();
+                for &(start, end) in &cases {
+                    let label = format!("{policy:?}, churn {churn}, bounds ({start:?}, {end:?})");
+                    let expected: Vec<(u64, u64)> = reference
+                        .range((start, end))
+                        .map(|(k, v)| (*k, *v))
+                        .collect();
+                    let reversed: Vec<(u64, u64)> = expected.iter().rev().copied().collect();
+                    let slice: Vec<(u64, u64)> = all
+                        .iter()
+                        .filter(|(k, _)| (start, end).contains(k))
+                        .copied()
+                        .collect();
+                    let in_txn = map.transact(|v| v.range((start, end)));
+                    assert_eq!(collect(&map, (start, end)), expected, "range: {label}");
+                    assert_eq!(
+                        map.range_rev((start, end)).collect::<Vec<_>>(),
+                        reversed,
+                        "range_rev: {label}"
+                    );
+                    assert_eq!(
+                        in_txn.collect::<Vec<_>>(),
+                        expected,
+                        "TxView::range: {label}"
+                    );
+                    assert_eq!(slice, expected, "to_vec: {label}");
+                    assert_eq!(
+                        snap.range((start, end)).collect::<Vec<_>>(),
+                        expected,
+                        "snapshot: {label}"
+                    );
+                }
+                assert_eq!(map.inner.rqc.active_queries(), 0);
+            }
         }
     }
 

@@ -10,12 +10,14 @@
 //! nor locating one touches the global allocator in the steady state.
 
 use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::fmt;
 use std::mem::MaybeUninit;
+use std::ops::Bound as StdBound;
 use std::ops::{Deref, DerefMut};
 
 use rand::Rng;
-use skiphash_stm::{TxResult, Txn};
+use skiphash_stm::{SnapshotPin, TCell, TxAbort, TxResult, Txn};
 
 use crate::node::{Bound, Node, NodeRef, RawNode};
 use crate::{MapKey, MapValue};
@@ -211,117 +213,33 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         }
     }
 
+    /// A borrowed-hop [`Cursor`] over this list, reading through `mode`.
+    pub(crate) fn cursor<M: ReadMode>(&self, mode: M) -> Cursor<'_, K, V, M> {
+        Cursor { list: self, mode }
+    }
+
     /// First node (logically present *or* deleted) whose key is `>= key`,
     /// possibly the tail sentinel.
     pub fn ceil_raw(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let raw = self.ceil_raw_borrowed(tx, key)?;
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { raw.upgrade() })
-    }
-
-    /// Borrowed-handle tower descent: the first node at level 0 whose key is
-    /// `>= key` (possibly the tail sentinel), with zero refcount traffic —
-    /// the point-query sibling of [`SkipList::find_position`]'s hop recipe.
-    ///
-    /// The returned handle obeys the [`RawNode`] validity contract (valid
-    /// within the attempt `tx`).
-    pub(crate) fn ceil_raw_borrowed(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<RawNode<K, V>> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
-        let mut pred = RawNode::from_ref(&self.head);
-        for level in (1..self.max_level).rev() {
-            loop {
-                // SAFETY: handle read under this attempt; guard pinned (blanket note above).
-                let next = unsafe { pred.node() }
-                    .level(level)
-                    .succ
-                    .read_with(tx, RawNode::from_link)?
-                    .expect("levels are always terminated by the tail sentinel");
-                // Warm the candidate's header and tower lines while the
-                // bound comparison below resolves (docs/PERF.md, Mechanism
-                // 6: the tower line is the next dependent load on the
-                // continue-at-this-level path).
-                next.prefetch();
-                // SAFETY: same contract — read under this attempt.
-                if unsafe { next.node() }.bound.is_before(key) {
-                    pred = next;
-                } else {
-                    break;
-                }
-            }
+        let mut cursor = self.cursor(tx);
+        let handle = cursor.ceil(key)?;
+        Ok(Position {
+            cursor: &mut cursor,
+            handle,
         }
-        // SAFETY: same contract — read under this attempt.
-        let mut curr = unsafe { pred.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // SAFETY: same contract — read under this attempt.
-        while unsafe { curr.node() }.bound.is_before(key) {
-            // SAFETY: same contract — read under this attempt.
-            curr = unsafe { curr.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            curr.prefetch();
-        }
-        Ok(curr)
-    }
-
-    /// Hop forward (level 0) over logically deleted nodes, borrowed.
-    pub(crate) fn skip_deleted_forward(
-        &self,
-        tx: &mut Txn<'_>,
-        mut node: RawNode<K, V>,
-    ) -> TxResult<RawNode<K, V>> {
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        while !unsafe { node.node() }.is_tail()
-            && unsafe { node.node() }
-                .r_time
-                .read_with(tx, Option::is_some)?
-        {
-            // SAFETY: same contract — read under this attempt.
-            node = unsafe { node.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-        }
-        Ok(node)
+        .upgrade())
     }
 
     /// First *logically present* node whose key is `>= key`, possibly the
     /// tail sentinel.
     pub fn ceil_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let raw = self.ceil_raw_borrowed(tx, key)?;
-        let node = self.skip_deleted_forward(tx, raw)?;
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+        self.first_present_from(tx, StdBound::Included(key), Walk::TO_TAIL)
     }
 
     /// First logically present node whose key is strictly `> key`, possibly
     /// the tail sentinel.
     pub fn succ_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let mut node = self.ceil_raw_borrowed(tx, key)?;
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        while !unsafe { node.node() }.is_tail()
-            && (unsafe { node.node() }
-                .r_time
-                .read_with(tx, Option::is_some)?
-                // SAFETY: same contract — read under this attempt.
-                || unsafe { node.node() }.bound.cmp_key(key) == Ordering::Equal)
-        {
-            // SAFETY: same contract — read under this attempt.
-            node = unsafe { node.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-        }
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+        self.first_present_from(tx, StdBound::Excluded(key), Walk::TO_TAIL)
     }
 
     /// Last logically present node whose key is `<= key`, possibly the head
@@ -341,44 +259,25 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
     /// Last logically present node whose key is strictly `< key`, possibly
     /// the head sentinel.
     pub fn pred_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let raw = self.ceil_raw_borrowed(tx, key)?;
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        let mut node = unsafe { raw.node() }
-            .level(0)
-            .pred
-            .read_with(tx, RawNode::from_link)?
-            .expect("interior nodes always have a level-0 predecessor");
-        // SAFETY: handle read under this attempt; guard pinned (note above).
-        while !unsafe { node.node() }.is_head()
-            // SAFETY: same contract — read under this attempt.
-            && unsafe { node.node() }
-                .r_time
-                .read_with(tx, Option::is_some)?
-        {
-            // SAFETY: same contract — read under this attempt.
-            node = unsafe { node.node() }
-                .level(0)
-                .pred
-                .read_with(tx, RawNode::from_link)?
-                .expect("interior nodes always have a level-0 predecessor");
-        }
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+        self.first_present_from(tx, StdBound::Excluded(key), Walk::TO_HEAD)
     }
 
     /// First logically present node in the list (possibly the tail sentinel).
     pub fn first_present(&self, tx: &mut Txn<'_>) -> TxResult<NodeRef<K, V>> {
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        let raw = RawNode::from_ref(&self.head);
-        // SAFETY: head handle; the attempt's guard is pinned (note above).
-        let first = unsafe { raw.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        let node = self.skip_deleted_forward(tx, first)?;
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+        self.first_present_from(tx, StdBound::Unbounded, Walk::TO_TAIL)
+    }
+
+    /// The point queries' one shape: [`Cursor::first`], upgraded.
+    fn first_present_from(
+        &self,
+        tx: &mut Txn<'_>,
+        from: StdBound<&K>,
+        walk: Walk<'_, K>,
+    ) -> TxResult<NodeRef<K, V>> {
+        Ok(self
+            .cursor(tx)
+            .first(from, walk, Visible::Present)?
+            .upgrade())
     }
 
     /// Insert a new node for `key`.
@@ -483,82 +382,22 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
 
     /// Count logically present nodes by walking level 0 with borrowed hops.
     pub fn count_present(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
         let mut count = 0;
-        let head = RawNode::from_ref(&self.head);
-        // SAFETY: head handle; the attempt's guard is pinned (note above).
-        let mut node = unsafe { head.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // SAFETY: same contract — read under this attempt.
-        while !unsafe { node.node() }.is_tail() {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            let next = n
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // Overlap the successor's cache miss with this node's mark read.
-            next.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
+        let start = Start::Bound(StdBound::Unbounded);
+        self.cursor(tx)
+            .scan(start, Walk::TO_TAIL, Visible::Present, |_| {
                 count += 1;
-            }
-            node = next;
-        }
+                Ok(())
+            })?;
         Ok(count)
     }
 
     /// Collect every logically present `(key, value)` pair in order by
     /// walking level 0 (borrowed hops; keys copied out via `K::clone`).
     pub fn collect_present(&self, tx: &mut Txn<'_>) -> TxResult<Vec<(K, V)>> {
-        self.collect_present_with(tx, &K::clone)
-    }
-
-    /// [`SkipList::collect_present`] with a caller-chosen key extractor, so
-    /// `Copy` keys can be copied out of the node instead of cloned (the
-    /// `*_copied` fast paths; see docs/PERF.md, Mechanism 6).
-    pub(crate) fn collect_present_with(
-        &self,
-        tx: &mut Txn<'_>,
-        extract: &impl Fn(&K) -> K,
-    ) -> TxResult<Vec<(K, V)>> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
-        let mut out = Vec::new();
-        let head = RawNode::from_ref(&self.head);
-        // SAFETY: head handle; the attempt's guard is pinned (note above).
-        let mut node = unsafe { head.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // SAFETY: same contract — read under this attempt.
-        while !unsafe { node.node() }.is_tail() {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            let next = n
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // Overlap the successor's cache miss with this element's
-            // mark/value reads (the scan loop's dominant stall).
-            next.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                out.push((extract(n.key()), value));
-            }
-            node = next;
-        }
+        let (mut out, all) = (Vec::new(), StdBound::Unbounded);
+        self.cursor(tx)
+            .range(all, all, false, &K::clone, &mut out)?;
         Ok(out)
     }
 
@@ -654,6 +493,360 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
             }
         }
         self.tail.sever_links();
+    }
+}
+
+/// How a [`Cursor`] reads the list's cells: inside one transaction attempt
+/// (`&mut Txn`) or at one snapshot pin's version (`&SnapshotPin`).
+///
+/// # Safety
+///
+/// An implementation vouches for the [`RawNode`] validity contract of the
+/// handles a cursor reaches through it: every node reached from the list's
+/// sentinels by following links read through [`ReadMode::read`] stays
+/// allocated for as long as the mode value lives.  The two implementations
+/// below state why; the cursor's single dereference point relies on it.
+// SAFETY: the trait is unsafe so that each mode argues the contract once,
+// at its `unsafe impl`, instead of every scan loop arguing it per hop.
+pub(crate) unsafe trait ReadMode {
+    /// What a read can fail with: a transaction abort, or nothing.
+    type Error;
+
+    /// Resolve `cell` in this mode and map its payload through `f`.
+    fn read<T: Clone + Send + Sync + 'static, R>(
+        &mut self,
+        cell: &TCell<T>,
+        f: impl Fn(&T) -> R,
+    ) -> Result<R, Self::Error>;
+}
+
+// SAFETY: an attempt keeps its epoch guard pinned while it runs, and the
+// `&mut Txn` borrow does not outlive the attempt.  A node read through a
+// link payload under that pin keeps `refs >= 1` until the unpin: the payload
+// is either still installed or was retired during the pin, and its drop
+// (which holds the count) is deferred past the unpin (see `RawNode`).
+unsafe impl ReadMode for &mut Txn<'_> {
+    type Error = TxAbort;
+
+    #[inline]
+    fn read<T: Clone + Send + Sync + 'static, R>(
+        &mut self,
+        cell: &TCell<T>,
+        f: impl Fn(&T) -> R,
+    ) -> TxResult<R> {
+        cell.read_with(self, f)
+    }
+}
+
+// SAFETY: custody, not an epoch guard (see `crate::snapshot`).  A link
+// payload visible at the pinned version is either current or preserved in
+// the history table, and neither is freed while the pin lives: displacing
+// commits see the pin and route the payload into history.  Link payloads
+// hold strong `NodeRef`s, so every node reachable at the pinned version
+// keeps a positive count, and the node arena cannot recycle it.
+unsafe impl ReadMode for &SnapshotPin {
+    type Error = Infallible;
+
+    #[inline]
+    fn read<T: Clone + Send + Sync + 'static, R>(
+        &mut self,
+        cell: &TCell<T>,
+        f: impl Fn(&T) -> R,
+    ) -> Result<R, Infallible> {
+        Ok(cell.read_pinned_with(self, f))
+    }
+}
+
+/// The direction of a level-0 walk and the bound that ends it: forward up to
+/// an end bound, or backward over the predecessor links down to a start
+/// bound.
+pub(crate) enum Walk<'k, K> {
+    Forward(StdBound<&'k K>),
+    Backward(StdBound<&'k K>),
+}
+
+impl<K> Walk<'_, K> {
+    /// Forward over the whole list, to the tail sentinel.
+    pub(crate) const TO_TAIL: Self = Walk::Forward(StdBound::Unbounded);
+    /// Backward over the whole list, to the head sentinel.
+    const TO_HEAD: Self = Walk::Backward(StdBound::Unbounded);
+}
+
+// Manual impls: a derive would demand `K: Copy`.
+impl<K> Clone for Walk<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<K> Copy for Walk<'_, K> {}
+
+/// Which nodes a walk stops on.
+#[derive(Clone, Copy)]
+pub(crate) enum Visible {
+    /// Not marked removed, as the read mode sees it (for a snapshot: present
+    /// at the pinned version).
+    Present,
+    /// §4.3's safety test for an RQC query with this version: inserted
+    /// before the query began and not logically deleted before it began.
+    SafeFor(u64),
+}
+
+/// Where a [`Cursor::scan`] begins.
+pub(crate) enum Start<'r, K, V> {
+    /// The first node of the walk from this bound at its near end.
+    Bound(StdBound<&'r K>),
+    /// At this node (the RQC slow path's start node).
+    At(&'r NodeRef<K, V>),
+    /// Just past this node, in the walk's direction (its resume point).
+    After(&'r NodeRef<K, V>),
+}
+
+/// The one borrowed-hop reader of the list: a tower descent, the bound
+/// seeks, and the scan loop, generic over the [`ReadMode`].
+///
+/// Every [`RawNode`] the cursor handles is a sentinel of `list`, was read
+/// through `mode`, or was borrowed from a counted handle that outlives the
+/// call ([`Start`]); the mode's validity contract keeps all of them
+/// allocated while the cursor lives.  Handles never leave this module
+/// except inside a [`Position`], which borrows the cursor, so no caller can
+/// bring one from elsewhere.
+pub(crate) struct Cursor<'a, K, V, M> {
+    list: &'a SkipList<K, V>,
+    mode: M,
+}
+
+/// A node a cursor stopped on, borrowing the cursor: read its key and
+/// value in the cursor's mode, or upgrade it to a counted handle.
+pub(crate) struct Position<'c, 'a, K, V, M> {
+    cursor: &'c mut Cursor<'a, K, V, M>,
+    handle: RawNode<K, V>,
+}
+
+impl<K: MapKey, V: MapValue, M: ReadMode> Position<'_, '_, K, V, M> {
+    /// The node's key, or `None` for a sentinel.
+    pub(crate) fn key(&self) -> Option<&K> {
+        match &self.cursor.node(self.handle).bound {
+            Bound::Key(key) => Some(key),
+            _ => None,
+        }
+    }
+
+    /// The value of a regular node, read in the cursor's mode.
+    pub(crate) fn value(&mut self) -> Result<V, M::Error> {
+        let value = &self.cursor.node(self.handle).value;
+        Ok(self
+            .cursor
+            .mode
+            .read(value, Option::clone)?
+            .expect("regular nodes always carry a value"))
+    }
+
+    /// `(extract(key), value)` of a regular node.
+    pub(crate) fn pair(&mut self, extract: &impl Fn(&K) -> K) -> Result<(K, V), M::Error> {
+        let value = self.value()?;
+        Ok((extract(self.cursor.node(self.handle).key()), value))
+    }
+
+    /// A counted handle to the node that outlives the cursor.
+    pub(crate) fn upgrade(&self) -> NodeRef<K, V> {
+        // SAFETY: the handle obeys the cursor's validity contract (see
+        // `Cursor`), so its count is at least one and the increment cannot
+        // revive a dead block.
+        unsafe { self.handle.upgrade() }
+    }
+}
+
+impl<'a, K: MapKey, V: MapValue, M: ReadMode> Cursor<'a, K, V, M> {
+    /// The node behind `handle`.
+    #[inline]
+    fn node(&self, handle: RawNode<K, V>) -> &'a Node<K, V> {
+        // SAFETY: `handle` is one the cursor may hold (type docs); the
+        // `ReadMode` contract keeps it allocated while the cursor lives.
+        unsafe { handle.node() }
+    }
+
+    /// Follow one link of `handle`'s tower.
+    #[inline]
+    fn link(
+        &mut self,
+        handle: RawNode<K, V>,
+        level: usize,
+        forward: bool,
+    ) -> Result<RawNode<K, V>, M::Error> {
+        let links = self.node(handle).level(level);
+        let cell = if forward { &links.succ } else { &links.pred };
+        Ok(self
+            .mode
+            .read(cell, RawNode::from_link)?
+            .expect("levels are always terminated by the sentinels"))
+    }
+
+    /// One level-0 hop in the walk's direction.
+    #[inline]
+    fn step(
+        &mut self,
+        handle: RawNode<K, V>,
+        walk: Walk<'_, K>,
+    ) -> Result<RawNode<K, V>, M::Error> {
+        self.link(handle, 0, matches!(walk, Walk::Forward(_)))
+    }
+
+    /// The tower descent: the first level-0 node whose key is `>= key`
+    /// (possibly the tail sentinel).
+    fn ceil(&mut self, key: &K) -> Result<RawNode<K, V>, M::Error> {
+        let mut pred = RawNode::from_ref(&self.list.head);
+        for level in (0..self.list.max_level).rev() {
+            loop {
+                let next = self.link(pred, level, true)?;
+                // Warm the candidate's header and tower lines while the
+                // bound comparison below resolves (docs/PERF.md, Mechanism
+                // 6: the tower line is the next dependent load on the
+                // continue-at-this-level path).
+                next.prefetch();
+                if !self.node(next).bound.is_before(key) {
+                    if level == 0 {
+                        return Ok(next);
+                    }
+                    break;
+                }
+                pred = next;
+            }
+        }
+        unreachable!("level 0 always ends at the tail sentinel")
+    }
+
+    /// The first level-0 node past every key below `key`, and unless
+    /// `inclusive` also past every node carrying `key`, logically deleted
+    /// duplicates included.
+    fn seek(&mut self, key: &K, inclusive: bool) -> Result<RawNode<K, V>, M::Error> {
+        let mut node = self.ceil(key)?;
+        while !inclusive && self.node(node).bound.cmp_key(key) == Ordering::Equal {
+            node = self.link(node, 0, true)?;
+        }
+        Ok(node)
+    }
+
+    /// The first node of `walk` from `start`.
+    fn start(
+        &mut self,
+        start: Start<'_, K, V>,
+        walk: Walk<'_, K>,
+    ) -> Result<RawNode<K, V>, M::Error> {
+        let head = RawNode::from_ref(&self.list.head);
+        let tail = RawNode::from_ref(&self.list.tail);
+        match (walk, start) {
+            (_, Start::At(node)) => Ok(RawNode::from_ref(node)),
+            (_, Start::After(node)) => self.step(RawNode::from_ref(node), walk),
+            (Walk::Forward(_), Start::Bound(StdBound::Unbounded)) => self.link(head, 0, true),
+            (Walk::Forward(_), Start::Bound(StdBound::Included(low))) => self.seek(low, true),
+            (Walk::Forward(_), Start::Bound(StdBound::Excluded(low))) => self.seek(low, false),
+            (Walk::Backward(_), Start::Bound(end)) => {
+                // One step back from the first node past the end bound.
+                let past = match end {
+                    StdBound::Unbounded => tail,
+                    StdBound::Included(high) => self.seek(high, false)?,
+                    StdBound::Excluded(high) => self.seek(high, true)?,
+                };
+                self.link(past, 0, false)
+            }
+        }
+    }
+
+    /// True when `handle` is a regular node the walk's bound still admits.
+    #[inline]
+    fn within(&self, handle: RawNode<K, V>, walk: Walk<'_, K>) -> bool {
+        let node = self.node(handle);
+        !node.is_sentinel()
+            && match walk {
+                Walk::Forward(StdBound::Included(high)) => node.bound.is_at_most(high),
+                Walk::Forward(StdBound::Excluded(high)) => node.bound.is_before(high),
+                Walk::Backward(StdBound::Included(low)) => !node.bound.is_before(low),
+                Walk::Backward(StdBound::Excluded(low)) => {
+                    node.bound.cmp_key(low) == Ordering::Greater
+                }
+                Walk::Forward(StdBound::Unbounded) | Walk::Backward(StdBound::Unbounded) => true,
+            }
+    }
+
+    /// True when `rule` shows the regular node `handle`.
+    fn visible(&mut self, handle: RawNode<K, V>, rule: Visible) -> Result<bool, M::Error> {
+        let node = self.node(handle);
+        Ok(match rule {
+            Visible::Present => self.mode.read(&node.r_time, Option::is_none)?,
+            Visible::SafeFor(version) => {
+                self.mode.read(&node.i_time, |t| *t < version)?
+                    && self
+                        .mode
+                        .read(&node.r_time, |r| r.is_none_or(|t| t >= version))?
+            }
+        })
+    }
+
+    /// The first node of `walk` from the bound `from` at its near end (the
+    /// start bound walking forward, the end bound walking backward) that
+    /// `rule` shows, or else the first node outside the walk.
+    pub(crate) fn first(
+        &mut self,
+        from: StdBound<&K>,
+        walk: Walk<'_, K>,
+        rule: Visible,
+    ) -> Result<Position<'_, 'a, K, V, M>, M::Error> {
+        let mut handle = self.start(Start::Bound(from), walk)?;
+        while self.within(handle, walk) && !self.visible(handle, rule)? {
+            handle = self.step(handle, walk)?;
+        }
+        Ok(Position {
+            cursor: self,
+            handle,
+        })
+    }
+
+    /// Hand every node `rule` shows along `walk` from `start` to `visit`:
+    /// the one level-0 loop behind every scan.
+    pub(crate) fn scan(
+        &mut self,
+        start: Start<'_, K, V>,
+        walk: Walk<'_, K>,
+        rule: Visible,
+        mut visit: impl FnMut(Position<'_, 'a, K, V, M>) -> Result<(), M::Error>,
+    ) -> Result<(), M::Error> {
+        let mut handle = self.start(start, walk)?;
+        while self.within(handle, walk) {
+            let next = self.step(handle, walk)?;
+            // Overlap the next node's cache miss with this node's mark and
+            // value reads, the level-0 scan's dominant stall.
+            next.prefetch();
+            if self.visible(handle, rule)? {
+                visit(Position {
+                    cursor: self,
+                    handle,
+                })?;
+            }
+            handle = next;
+        }
+        Ok(())
+    }
+
+    /// Every logically present pair the bounds admit, ascending or (`rev`)
+    /// descending: the whole query of the range fast path, `range_rev`,
+    /// `TxView::range`, full scans, and snapshot ranges.
+    pub(crate) fn range(
+        &mut self,
+        start: StdBound<&K>,
+        end: StdBound<&K>,
+        rev: bool,
+        extract: &impl Fn(&K) -> K,
+        out: &mut Vec<(K, V)>,
+    ) -> Result<(), M::Error> {
+        let (from, walk) = if rev {
+            (end, Walk::Backward(start))
+        } else {
+            (start, Walk::Forward(end))
+        };
+        self.scan(Start::Bound(from), walk, Visible::Present, |mut node| {
+            out.push(node.pair(extract)?);
+            Ok(())
+        })
     }
 }
 

@@ -32,20 +32,19 @@
 //!
 //! # Why borrowed hops stay valid
 //!
-//! The traversal reuses the borrowed-`RawNode` recipe of the transactional
-//! fast paths: links are read in place and only final results are upgraded
-//! to counted handles.  Between hops nothing pins an epoch guard, so the
-//! validity argument is different from the transactional one — it rests on
-//! the pin's custody:
+//! Snapshot reads run on the same scan cursor as the transactional reads
+//! (`skiplist.rs`), in its pinned read mode: every cell resolves at `p`,
+//! links are read in place, and only final results are upgraded to counted
+//! handles.  Between hops nothing pins an epoch guard, so the validity
+//! argument differs from the transactional one.  It rests on the pin's
+//! custody and is written once, at the pinned mode's `unsafe impl
+//! ReadMode`:
 //!
 //! * A link payload visible at `p` is either still current or preserved in
-//!   the history table; either way it is not freed while this pin is live
-//!   (displacing commits see the pin — published before the traversal began
-//!   — and route the payload into history instead of the reclamation queue).
+//!   the history table; either way it is not freed while this pin is live.
 //! * Link payloads hold **strong** [`NodeRef`](crate::node::NodeRef)s, so
-//!   every node reachable at
-//!   `p` keeps a positive reference count for the snapshot's whole lifetime;
-//!   the node arena cannot recycle it.
+//!   every node reachable at `p` keeps a positive reference count for the
+//!   snapshot's whole lifetime; the node arena cannot recycle it.
 //!
 //! Dropping the [`Snapshot`] releases the pin; the history entries it alone
 //! kept alive are trimmed and their node references dropped, so retention is
@@ -73,6 +72,7 @@
 //! drop(snap); // releases custody of the displaced payloads
 //! ```
 
+use std::convert::Infallible;
 use std::fmt;
 use std::ops::Bound as StdBound;
 use std::ops::RangeBounds;
@@ -81,8 +81,8 @@ use std::sync::Arc;
 use skiphash_stm::SnapshotPin;
 
 use crate::map::Inner;
-use crate::node::RawNode;
-use crate::range::{bound_as_ref, clone_bound, end_allows, range_is_empty, Range};
+use crate::range::{range_is_empty, Range};
+use crate::skiplist::{Cursor, Visible, Walk};
 use crate::{MapKey, MapValue};
 
 /// A read-only view of a [`SkipHash`](crate::SkipHash) frozen at one clock
@@ -127,65 +127,14 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
         self.pin.version()
     }
 
-    /// Read `cell`'s successor link at the pinned version, as a borrowed
-    /// handle.
-    ///
-    /// # Safety
-    ///
-    /// The returned handle is valid while `self` is alive: the link payload
-    /// it was read from is custody-protected by `self.pin` (see the module
-    /// docs), and that payload holds a strong `NodeRef` keeping the node
-    /// allocated.
-    fn hop(&self, node: RawNode<K, V>, level: usize) -> RawNode<K, V> {
-        // SAFETY: `node` obeys this snapshot's validity contract (it is the
-        // head sentinel or came out of a previous `hop`).
-        unsafe { node.node() }
-            .level(level)
-            .succ
-            .read_pinned_with(&self.pin, RawNode::from_link)
-            .expect("levels are always terminated by the tail sentinel")
-    }
-
-    /// True when `node` was logically present at the pinned version.
-    fn present_at(&self, node: RawNode<K, V>) -> bool {
-        // SAFETY: as in `hop`.
-        unsafe { node.node() }
-            .r_time
-            .read_pinned_with(&self.pin, Option::is_none)
-    }
-
-    /// Clone `node`'s value as of the pinned version.
-    fn value_at(&self, node: RawNode<K, V>) -> V {
-        // SAFETY: as in `hop`.
-        unsafe { node.node() }
-            .value
-            .read_pinned_with(&self.pin, Clone::clone)
-            .expect("a non-sentinel node always carries a value")
-    }
-
-    /// Borrowed tower descent at the pinned version: the first node at level
-    /// 0 (possibly the tail sentinel) whose key is `>= key`, exactly as the
-    /// list was linked at `version()`.
-    fn ceil_at(&self, key: &K) -> RawNode<K, V> {
-        let list = &self.inner.skiplist;
-        let mut pred = RawNode::from_ref(list.head());
-        for level in (1..list.max_level()).rev() {
-            loop {
-                let next = self.hop(pred, level);
-                // SAFETY: as in `hop`.
-                if unsafe { next.node() }.bound.is_before(key) {
-                    pred = next;
-                } else {
-                    break;
-                }
-            }
-        }
-        let mut curr = self.hop(pred, 0);
-        // SAFETY: as in `hop`.
-        while unsafe { curr.node() }.bound.is_before(key) {
-            curr = self.hop(curr, 0);
-        }
-        curr
+    /// Run `read` on a [`Cursor`] at the pinned version (pinned reads
+    /// cannot fail).
+    fn read<R>(
+        &self,
+        read: impl FnOnce(&mut Cursor<'_, K, V, &SnapshotPin>) -> Result<R, Infallible>,
+    ) -> R {
+        let Ok(result) = read(&mut self.inner.skiplist.cursor(&self.pin));
+        result
     }
 
     /// The value under `key` at the pinned version, if the key was present.
@@ -194,21 +143,18 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// version; no transaction, no retry, no allocation beyond the returned
     /// clone.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut node = self.ceil_at(key);
         // Logically deleted duplicates of `key` may linger before the live
-        // node (a remove + reinsert where the old node's unstitching was
-        // deferred); scan every equal-key node for the one present at `p`.
-        loop {
-            // SAFETY: `node` obeys this snapshot's validity contract.
-            let n = unsafe { node.node() };
-            if n.is_tail() || n.bound.cmp_key(key) != std::cmp::Ordering::Equal {
-                return None;
+        // node (a remove + reinsert whose unstitching was deferred); the
+        // walk skips them but never leaves the nodes carrying `key`.
+        let walk = Walk::Forward(StdBound::Included(key));
+        self.read(|cursor| {
+            let mut found = cursor.first(StdBound::Included(key), walk, Visible::Present)?;
+            if found.key() == Some(key) {
+                found.value().map(Some)
+            } else {
+                Ok(None)
             }
-            if self.present_at(node) {
-                return Some(self.value_at(node));
-            }
-            node = self.hop(node, 0);
-        }
+        })
     }
 
     /// True if `key` was present at the pinned version.
@@ -229,46 +175,12 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     }
 
     /// Collection walk shared by [`Snapshot::range`] (keys cloned out) and
-    /// [`Snapshot::range_copied`] (keys copied out), hopping on borrowed
-    /// handles with the same successor prefetch as the live-map scan.
+    /// [`Snapshot::range_copied`] (keys copied out).
     fn range_with<R: RangeBounds<K>>(&self, range: R, extract: &impl Fn(&K) -> K) -> Range<K, V> {
-        let start = clone_bound(range.start_bound());
-        let end = clone_bound(range.end_bound());
-        if range_is_empty(&start, &end) {
-            return Range::new(Vec::new());
-        }
-        let mut node = match bound_as_ref(&start) {
-            StdBound::Unbounded => self.hop(RawNode::from_ref(self.inner.skiplist.head()), 0),
-            StdBound::Included(low) => self.ceil_at(low),
-            StdBound::Excluded(low) => {
-                // Skip every node carrying the excluded key, including
-                // logically deleted duplicates lingering before the live one.
-                let mut node = self.ceil_at(low);
-                // SAFETY: as in `hop`.
-                while !unsafe { node.node() }.is_tail()
-                    && unsafe { node.node() }.bound.cmp_key(low) == std::cmp::Ordering::Equal
-                {
-                    node = self.hop(node, 0);
-                }
-                node
-            }
-        };
+        let (start, end) = (range.start_bound(), range.end_bound());
         let mut out = Vec::new();
-        loop {
-            // SAFETY: as in `hop`.
-            let n = unsafe { node.node() };
-            if n.is_tail() || !end_allows(&n.bound, bound_as_ref(&end)) {
-                break;
-            }
-            let next = self.hop(node, 0);
-            // Overlap the successor's cache miss with this element's
-            // mark/value reads, exactly as in the transactional scan
-            // (docs/PERF.md, Mechanism 6).
-            next.prefetch();
-            if self.present_at(node) {
-                out.push((extract(n.key()), self.value_at(node)));
-            }
-            node = next;
+        if !range_is_empty(&start, &end) {
+            self.read(|cursor| cursor.range(start, end, false, extract, &mut out));
         }
         Range::new(out)
     }
@@ -299,37 +211,20 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 
     /// Smallest present key `>= key` at the pinned version, if any.
     pub fn ceil_key(&self, key: &K) -> Option<K> {
-        let mut node = self.ceil_at(key);
-        loop {
-            // SAFETY: as in `hop`.
-            let n = unsafe { node.node() };
-            if n.is_tail() {
-                return None;
-            }
-            if self.present_at(node) {
-                return Some(n.key().clone());
-            }
-            node = self.hop(node, 0);
-        }
+        self.read(|cursor| {
+            let found = cursor.first(StdBound::Included(key), Walk::TO_TAIL, Visible::Present)?;
+            Ok(found.key().cloned())
+        })
     }
 
     /// Upgrade the first present node at or after `key` to a counted handle
     /// (test support: lets assertions hold a node across snapshot drops).
     #[cfg(test)]
     fn ceil_node(&self, key: &K) -> Option<crate::node::NodeRef<K, V>> {
-        let mut node = self.ceil_at(key);
-        loop {
-            // SAFETY: as in `hop`; upgrading inside the snapshot's lifetime.
-            let n = unsafe { node.node() };
-            if n.is_tail() {
-                return None;
-            }
-            if self.present_at(node) {
-                // SAFETY: handle read under the pinned guard of this scan.
-                return Some(unsafe { node.upgrade() });
-            }
-            node = self.hop(node, 0);
-        }
+        self.read(|cursor| {
+            let found = cursor.first(StdBound::Included(key), Walk::TO_TAIL, Visible::Present)?;
+            Ok(found.key().map(|_| found.upgrade()))
+        })
     }
 }
 

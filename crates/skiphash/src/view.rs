@@ -287,9 +287,10 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// short under contention).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> TxResult<Range<K, V>> {
+        let (start, end) = (range.start_bound(), range.end_bound());
         let pairs = self
             .inner
-            .collect_range(self.tx, range.start_bound(), range.end_bound())?;
+            .collect_range(self.tx, start, end, false, &K::clone)?;
         Ok(Range::new(pairs))
     }
 

@@ -354,6 +354,31 @@ pub(crate) unsafe fn read_history<T, R>(cell: usize, p: u64, f: impl FnOnce(&T) 
     Some(f(unsafe { &*(entry.data as *const T) }))
 }
 
+/// The panic message for a pinned read of the cell at `cell` (orec version
+/// `cell_version`) that found no history entry old enough for `pin`.  It
+/// lists what the resolution looked at: the cell's chain as `(start, end)`
+/// stamps, the live pin versions of `pin`'s runtime, and `pin`'s version.
+pub(crate) fn missing_history(cell: usize, cell_version: u64, pin: &SnapshotPin) -> String {
+    let chain: Vec<(u64, u64)> = lock_shard(shard_for(cell))
+        .get(&cell)
+        .map(|chain| chain.entries.iter().map(|e| (e.start, e.end)).collect())
+        .unwrap_or_default();
+    let mut pins = Vec::new();
+    let pending = pin.stm.snapshot_registry().collect_into(&mut pins);
+    let pending = if pending {
+        " plus one mid-registration"
+    } else {
+        ""
+    };
+    format!(
+        "snapshot pin at version {} found no history entry for a cell at version \
+         {cell_version}; history (start, end) = {chain:?}, live pins = {pins:?}{pending}. \
+         A pin created by a different Stm runtime than the one that wrote the cell \
+         reads incomparable versions.",
+        pin.version
+    )
+}
+
 /// Free every history entry belonging to the cell at `cell` immediately.
 /// Called from `TCell::drop`: exclusive access means no pinned reader can
 /// reach the cell, so its history is dead regardless of live pins — and the
@@ -631,6 +656,43 @@ mod tests {
         let pin = stm.pin_snapshot();
         // No writes since the pin: resolution takes the current-value path.
         assert_eq!(cell.read_pinned_with(&pin, |v| *v), 7);
+        drop(pin);
+    }
+
+    #[test]
+    #[should_panic(expected = "history (start, end) = [], live pins = [")]
+    fn foreign_pin_read_reports_the_missing_history() {
+        let a = Arc::new(Stm::new());
+        let b = Arc::new(Stm::new());
+        let cell = TCell::new(1u64);
+        let foreign = b.pin_snapshot();
+        // `a` sees no pin of its own, so it preserves nothing; its stamp is
+        // past the foreign pin's version, so the read looks for history.
+        a.run(|tx| cell.write(tx, 2));
+        cell.read_pinned_with(&foreign, |v| *v);
+    }
+
+    #[test]
+    fn missing_history_message_lists_chain_and_pins() {
+        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let stm = Arc::new(Stm::new());
+        let cell = TCell::new(1u64);
+        let pin = stm.pin_snapshot();
+        stm.run(|tx| cell.write(tx, 2));
+        let address = &cell as *const TCell<u64> as usize;
+        let message = missing_history(address, 7, &pin);
+        let p = pin.version();
+        assert!(
+            message.contains(&format!("pin at version {p} ")),
+            "{message}"
+        );
+        assert!(message.contains("cell at version 7;"), "{message}");
+        assert!(message.contains(&format!("live pins = [{p}]")), "{message}");
+        let chain = message.split("history (start, end) = [(").nth(1);
+        assert!(
+            chain.is_some_and(|rest| rest.starts_with("0, ")),
+            "{message}"
+        );
         drop(pin);
     }
 

@@ -211,7 +211,9 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// Panics if `pin` was created by a different [`crate::Stm`] runtime
     /// than the one whose transactions version this cell — clock domains are
     /// incomparable, and the history the pin relies on was never preserved.
-    /// (This is detectable only indirectly, as a missing history entry.)
+    /// (This is detectable only indirectly, as a missing history entry.)  The
+    /// message lists the cell's history entries as `(start, end)` stamps,
+    /// the live pin versions of `pin`'s runtime, and `pin`'s version.
     pub fn read_pinned_with<R>(&self, pin: &SnapshotPin, f: impl Fn(&T) -> R) -> R {
         let p = pin.version();
         let backoff = crossbeam_utils::Backoff::new();
@@ -233,7 +235,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                         return result;
                     }
                 }
-                OrecState::Unlocked { .. } => {
+                OrecState::Unlocked { version } => {
                     // Written after the pin: the payload at `p` was displaced
                     // and — because the displacing commit either collected
                     // this pin or its stamp precedes it — preserved in the
@@ -247,9 +249,8 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                     match resolved {
                         Some(result) => return result,
                         None => panic!(
-                            "snapshot pin at version {p} found no history for a cell at \
-                             version {:?}; was the pin created by a different Stm runtime?",
-                            Orec::decode_raw(o1)
+                            "{}",
+                            snapshot::missing_history(self as *const Self as usize, version, pin)
                         ),
                     }
                 }
