@@ -63,7 +63,9 @@ pub fn parse_records(input: &str) -> BTreeMap<String, BenchRecord> {
     out
 }
 
-fn extract_string_field(line: &str, field: &str) -> Option<String> {
+/// The string value of `"field":"..."` in one writer-produced JSON line
+/// (shared with the trajectory validator, whose writer uses the same shape).
+pub(crate) fn extract_string_field(line: &str, field: &str) -> Option<String> {
     let needle = format!("\"{field}\":\"");
     let start = line.find(&needle)? + needle.len();
     let rest = &line[start..];
@@ -72,7 +74,8 @@ fn extract_string_field(line: &str, field: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-fn extract_number_field(line: &str, field: &str) -> Option<f64> {
+/// The numeric value of `"field":...` in one writer-produced JSON line.
+pub(crate) fn extract_number_field(line: &str, field: &str) -> Option<f64> {
     let needle = format!("\"{field}\":");
     let start = line.find(&needle)? + needle.len();
     let rest = &line[start..];

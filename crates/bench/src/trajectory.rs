@@ -16,6 +16,8 @@
 
 use std::fmt::Write as _;
 
+use crate::gate::{extract_number_field, extract_string_field};
+
 /// Schema tag the writer stamps and the validator requires.
 pub const SCHEMA: &str = "bench-trajectory-v1";
 
@@ -95,10 +97,10 @@ pub struct TrajectorySummary {
 /// every point line carries an id / known unit / finite value, no duplicate
 /// ids, and every [`REQUIRED_FAMILIES`] prefix is covered.
 ///
-/// The scanner is matched to [`render`] (one point object per line), same
-/// as the gate's record parser — but unlike the gate it is *strict*: a
-/// malformed point line is an error, not a skip, because the committed
-/// file's whole job is to be trustworthy.
+/// Point lines are read with the gate's field scanner, which is matched to
+/// [`render`] (one point object per line) — but unlike the gate this is
+/// *strict*: a malformed point line is an error, not a skip, because the
+/// committed file's whole job is to be trustworthy.
 pub fn validate(input: &str) -> Result<TrajectorySummary, String> {
     if !input.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
         return Err(format!("missing or wrong schema tag (expected {SCHEMA:?})"));
@@ -144,26 +146,10 @@ pub fn validate(input: &str) -> Result<TrajectorySummary, String> {
 
 fn parse_point(line: &str) -> Option<TrajectoryPoint> {
     Some(TrajectoryPoint {
-        id: extract_string(line, "id")?,
-        unit: extract_string(line, "unit")?,
-        value: extract_number(line, "value")?,
+        id: extract_string_field(line, "id")?,
+        unit: extract_string_field(line, "unit")?,
+        value: extract_number_field(line, "value")?,
     })
-}
-
-fn extract_string(line: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-fn extract_number(line: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 #[cfg(test)]

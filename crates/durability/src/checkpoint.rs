@@ -25,8 +25,6 @@
 use std::io;
 use std::path::Path;
 
-use skiphash_stm::stats;
-
 use crate::codec::{crc32, put_field, Codec, Cursor};
 use crate::storage::Storage;
 
@@ -117,7 +115,6 @@ pub fn write_checkpoint<K: Codec, V: Codec>(
     }
     storage.rename(&tmp, &finl)?;
     storage.sync_dir(dir)?;
-    stats::note_checkpoint_written();
 
     // The new image supersedes every older one.
     if let Ok(names) = storage.list(dir) {

@@ -56,7 +56,7 @@ pub mod storage;
 pub mod wal;
 
 pub use codec::Codec;
-pub use map::{DurableMap, DurableMapBuilder, DurableView};
+pub use map::{DurabilityStats, DurableMap, DurableMapBuilder, DurableView};
 pub use recovery::{recover, Recovered};
 pub use storage::{FaultPlan, FaultStorage, MemStorage, StdStorage, Storage, StorageFile};
 pub use wal::WalConfig;

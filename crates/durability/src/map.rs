@@ -75,6 +75,18 @@ pub struct RecoveryInfo {
     pub truncated_tail: bool,
 }
 
+/// The durability work one [`DurableMap`] has done since it was opened
+/// (recovery's share is [`RecoveryInfo::records_replayed`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurabilityStats {
+    /// Commit records appended to the log and fsynced.
+    pub records_appended: u64,
+    /// Group-commit flushes: batches made durable by a single fsync.
+    pub group_commit_flushes: u64,
+    /// Checkpoint images made durable, explicit and automatic.
+    pub checkpoints_written: u64,
+}
+
 /// Configuration for opening a [`DurableMap`].
 pub struct DurableMapBuilder {
     dir: PathBuf,
@@ -141,8 +153,9 @@ pub struct DurableMap<K: MapKey + Codec, V: MapValue + Codec> {
     storage: Arc<dyn Storage>,
     dir: PathBuf,
     recovery: RecoveryInfo,
-    /// Serializes checkpoints (snapshot → write → truncate).
-    checkpoint_lock: Mutex<()>,
+    /// Serializes checkpoints (snapshot → write → truncate) and counts the
+    /// images written.
+    checkpoint_lock: Mutex<u64>,
     ops_since_checkpoint: AtomicU64,
     checkpoint_every_ops: Option<u64>,
     checkpoint_error: Mutex<Option<io::Error>>,
@@ -217,7 +230,7 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
             storage,
             dir,
             recovery: info,
-            checkpoint_lock: Mutex::new(()),
+            checkpoint_lock: Mutex::new(0),
             ops_since_checkpoint: AtomicU64::new(0),
             checkpoint_every_ops,
             checkpoint_error: Mutex::new(None),
@@ -375,7 +388,7 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
     /// Write a checkpoint of the current state and truncate WAL segments
     /// it covers.  Returns the checkpointed version.
     pub fn checkpoint(&self) -> io::Result<u64> {
-        let _guard = self
+        let mut written = self
             .checkpoint_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
@@ -383,11 +396,26 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
         let at = snap.version();
         let entries = snap.to_vec();
         write_checkpoint(&*self.storage, &self.dir, &entries, at)?;
+        *written += 1;
         // Seal the active segment so its records become truncatable by the
         // *next* checkpoint, then drop everything this one already covers.
         self.wal.request_rotation();
         self.wal.truncate_covered(at)?;
         Ok(at)
+    }
+
+    /// What the log and the checkpointer have made durable since this map
+    /// was opened.  Waits for a checkpoint in progress to finish.
+    pub fn stats(&self) -> DurabilityStats {
+        let (records_appended, group_commit_flushes) = self.wal.counters();
+        DurabilityStats {
+            records_appended,
+            group_commit_flushes,
+            checkpoints_written: *self
+                .checkpoint_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     /// The underlying STM runtime (stats, clock).
@@ -591,6 +619,60 @@ mod tests {
         );
         assert_eq!(map.len(), 60);
         assert_eq!(map.get(&59), Some(590));
+    }
+
+    #[test]
+    fn durability_stats_count_this_map_exactly() {
+        const N: u64 = 40;
+        let storage = MemStorage::new();
+        {
+            let map = open_mem(&storage);
+            assert_eq!(map.stats(), DurabilityStats::default());
+            for i in 0..N {
+                map.upsert(i, i);
+            }
+            assert!(!map.insert(0, 99), "a no-op insert logs nothing");
+            map.sync().unwrap();
+            let stats = map.stats();
+            assert_eq!(stats.records_appended, N);
+            assert!(
+                (1..=N).contains(&stats.group_commit_flushes),
+                "flushes {}",
+                stats.group_commit_flushes
+            );
+            assert_eq!(stats.checkpoints_written, 0);
+        }
+        let map: DurableMap<u64, u64> = DurableMapBuilder::new("/db")
+            .storage(Arc::new(storage.clone()))
+            .wal_config(fast_wal())
+            .checkpoint_every_ops(10)
+            .open()
+            .unwrap();
+        assert_eq!(map.recovery_info().records_replayed, N);
+        // Counters are per map: replay appends nothing, and the first map's
+        // work is not carried over.
+        assert_eq!(map.stats(), DurabilityStats::default());
+        // 25 logged ops cross the threshold twice; then one explicit
+        // checkpoint, and 4 ops that stay below the next threshold.
+        for i in 0..25u64 {
+            map.upsert(i, i + 1);
+        }
+        map.checkpoint().unwrap();
+        for i in 0..4u64 {
+            map.upsert(i, i + 2);
+        }
+        map.sync().unwrap();
+        assert!(map.take_checkpoint_error().is_none());
+        let stats = map.stats();
+        assert_eq!(stats.records_appended, 29);
+        assert_eq!(stats.checkpoints_written, 3, "2 automatic + 1 explicit");
+        drop(map);
+        let map = open_mem(&storage);
+        assert_eq!(
+            map.recovery_info().records_replayed,
+            4,
+            "the records appended after the last checkpoint"
+        );
     }
 
     #[test]

@@ -41,8 +41,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use skiphash_stm::stats;
-
 use crate::checkpoint::{decode_checkpoint, is_checkpoint_tmp, parse_checkpoint_name};
 use crate::codec::Codec;
 use crate::storage::Storage;
@@ -199,7 +197,6 @@ where
             }
         }
     }
-    stats::note_recovery_records_replayed(replayed);
 
     Ok(Recovered {
         entries: state.into_iter().collect(),

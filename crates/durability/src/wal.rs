@@ -68,8 +68,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-use skiphash_stm::stats;
-
 use crate::codec::{crc32, put_field, Codec, Cursor};
 use crate::storage::{Storage, StorageFile};
 
@@ -307,6 +305,10 @@ struct State {
     durable_seq: u64,
     /// Sticky first failure; poisons the log.
     error: Option<String>,
+    /// Commit records fsynced, and the batches (one fsync each) that
+    /// carried them.
+    records_appended: u64,
+    group_commit_flushes: u64,
     shutdown: bool,
     rotate_request: bool,
     bytes_pool: Vec<Vec<u8>>,
@@ -485,6 +487,13 @@ impl Wal {
     pub fn error(&self) -> Option<String> {
         lock(&self.shared.state).error.clone()
     }
+
+    /// Commit records made durable so far, and the group-commit flushes
+    /// (one fsync each) that carried them.
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        let st = lock(&self.shared.state);
+        (st.records_appended, st.group_commit_flushes)
+    }
 }
 
 impl Drop for Wal {
@@ -612,12 +621,12 @@ fn writer_loop(
                     active_bytes += frame_buf.len() as u64;
                     active_max_stamp = active_max_stamp.max(max_stamp);
                     st.durable_seq = st.durable_seq.max(last_seq);
+                    st.records_appended += records;
+                    st.group_commit_flushes += 1;
                     for p in batch.drain(..) {
                         st.bytes_pool.push(p.bytes);
                     }
                     drop(st);
-                    stats::note_wal_records_appended(records);
-                    stats::note_group_commit_flush();
                     shared.durable_cv.notify_all();
                 }
                 Err(e) => {

@@ -367,23 +367,6 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         self.inner.stm.stats()
     }
 
-    /// Reset STM and range statistics (between benchmark trials).
-    pub fn reset_stats(&self) {
-        self.inner.stm.reset_stats();
-        self.inner
-            .range_counters
-            .fast_success
-            .store(0, Ordering::Relaxed);
-        self.inner
-            .range_counters
-            .fast_abort
-            .store(0, Ordering::Relaxed);
-        self.inner
-            .range_counters
-            .slow_complete
-            .store(0, Ordering::Relaxed);
-    }
-
     /// Range query execution statistics.
     pub fn range_stats(&self) -> RangeStats {
         RangeStats {

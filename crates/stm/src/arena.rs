@@ -56,8 +56,9 @@
 //! The pools also own the process-wide `node_recycle_hits` /
 //! `chain_recycle_hits` counters surfaced by [`crate::StatsSnapshot`].  They
 //! are process-wide (not per-`Stm`) because blocks are recycled by whoever
-//! drives epoch collection.  [`crate::Stm::reset_stats`] snapshots a
-//! baseline so per-trial deltas still work.
+//! drives epoch collection.  Each [`crate::StmStats`] takes one baseline of
+//! them at construction and reports the difference, and trials take deltas
+//! with [`crate::StatsSnapshot::since`].
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;

@@ -22,83 +22,17 @@ use crate::arena;
 use crate::error::TxAbort;
 use crate::snapshot;
 
-/// Process-global durability counters.
-///
-/// The durability layer (WAL writer, checkpointer, recovery) lives in a
-/// separate crate and its writer thread is not tied to any one `Stm`
-/// instance, so — like the arena and snapshot-custody counters — the live
-/// totals are process-global and each [`StmStats`] keeps only a baseline.
-/// The durability crate batches its updates (one RMW per flushed batch /
-/// replay pass, not one per record) to keep the log hot path off these
-/// cache lines.
-mod durability {
-    use super::AtomicU64;
-
-    pub(super) static WAL_RECORDS_APPENDED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static GROUP_COMMIT_FLUSHES: AtomicU64 = AtomicU64::new(0);
-    pub(super) static RECOVERY_RECORDS_REPLAYED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static CHECKPOINTS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-}
-
-/// Record `n` commit records appended to the write-ahead log (one call per
-/// flushed batch, not per record).
-pub fn note_wal_records_appended(n: u64) {
-    if n > 0 {
-        durability::WAL_RECORDS_APPENDED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Record one group-commit flush (a batch made durable by a single fsync).
-pub fn note_group_commit_flush() {
-    durability::GROUP_COMMIT_FLUSHES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record `n` WAL records replayed during recovery (one call per replay
-/// pass).
-pub fn note_recovery_records_replayed(n: u64) {
-    if n > 0 {
-        durability::RECOVERY_RECORDS_REPLAYED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Record one checkpoint image made durable.
-pub fn note_checkpoint_written() {
-    durability::CHECKPOINTS_WRITTEN.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Current process-wide totals, for callers that want the raw counters
-/// rather than a per-[`StmStats`] delta.
-pub fn wal_records_appended_total() -> u64 {
-    durability::WAL_RECORDS_APPENDED.load(Ordering::Relaxed)
-}
-
-/// See [`wal_records_appended_total`].
-pub fn group_commit_flushes_total() -> u64 {
-    durability::GROUP_COMMIT_FLUSHES.load(Ordering::Relaxed)
-}
-
-/// See [`wal_records_appended_total`].
-pub fn recovery_records_replayed_total() -> u64 {
-    durability::RECOVERY_RECORDS_REPLAYED.load(Ordering::Relaxed)
-}
-
-/// See [`wal_records_appended_total`].
-pub fn checkpoints_written_total() -> u64 {
-    durability::CHECKPOINTS_WRITTEN.load(Ordering::Relaxed)
-}
-
 /// Shared, concurrently updated statistics for one [`crate::Stm`] instance.
 ///
-/// The two arena counters (`node_recycle_hits` / `chain_recycle_hits`) are
-/// special: the structure arena is process-global (blocks are recycled by
-/// whichever thread drives epoch collection, regardless of which `Stm` the
-/// structure belonged to), so the live counters live in [`crate::arena`] and
-/// this struct only keeps the *baseline* captured at construction / reset,
-/// letting [`StmStats::snapshot`] report per-trial deltas like every other
-/// counter.  The snapshot-custody counters (`snapshot_preserved` /
-/// `snapshot_freed`) follow the same scheme: the history side table is
-/// process-global, so the live totals live in [`crate::snapshot`] and only
-/// the baselines are per-instance.
+/// Most counters are per-instance atomics.  The arena counters
+/// (`node_recycle_hits` / `chain_recycle_hits`) and the snapshot-custody
+/// counters (`snapshot_preserved` / `snapshot_freed`) are process-global:
+/// blocks are recycled, and history entries moved, by whichever thread
+/// drives epoch collection or drops a pin, regardless of which `Stm` the
+/// structure belonged to.  Their live totals live in [`crate::arena`] and
+/// [`crate::snapshot`].  [`StmStats::snapshot`] reports every counter as
+/// its live total minus one baseline taken at construction, so a fresh
+/// instance reports only what happens after it was built.
 #[derive(Debug, Default)]
 pub struct StmStats {
     commits: AtomicU64,
@@ -110,50 +44,18 @@ pub struct StmStats {
     validation_skipped_commits: AtomicU64,
     read_dedup_hits: AtomicU64,
     slab_recycle_hits: AtomicU64,
-    node_recycle_baseline: AtomicU64,
-    chain_recycle_baseline: AtomicU64,
-    snapshot_preserved_baseline: AtomicU64,
-    snapshot_freed_baseline: AtomicU64,
-    wal_appended_baseline: AtomicU64,
-    group_flush_baseline: AtomicU64,
-    recovery_replayed_baseline: AtomicU64,
-    checkpoints_baseline: AtomicU64,
+    /// The live totals at construction; immutable, so it needs no lock.
+    base: StatsSnapshot,
 }
 
 impl StmStats {
-    /// Create zeroed statistics.
-    ///
-    /// The arena baselines are captured *now*, so a fresh instance reports
-    /// only recycling that happens after its construction (the process-global
-    /// counters may already be far along).
+    /// Create statistics that count from now on: the process-global
+    /// counters may already be far along, so their current totals become
+    /// this instance's baseline (`Default` keeps a zero baseline).
     pub fn new() -> Self {
-        let stats = Self::default();
+        let mut stats = Self::default();
+        stats.base = stats.totals();
         stats
-            .node_recycle_baseline
-            .store(arena::node_recycle_hits(), Ordering::Relaxed);
-        stats
-            .chain_recycle_baseline
-            .store(arena::chain_recycle_hits(), Ordering::Relaxed);
-        stats
-            .snapshot_preserved_baseline
-            .store(snapshot::preserved_total(), Ordering::Relaxed);
-        stats
-            .snapshot_freed_baseline
-            .store(snapshot::freed_total(), Ordering::Relaxed);
-        stats.rebase_durability();
-        stats
-    }
-
-    /// Re-capture the durability baselines at the current global totals.
-    fn rebase_durability(&self) {
-        self.wal_appended_baseline
-            .store(wal_records_appended_total(), Ordering::Relaxed);
-        self.group_flush_baseline
-            .store(group_commit_flushes_total(), Ordering::Relaxed);
-        self.recovery_replayed_baseline
-            .store(recovery_records_replayed_total(), Ordering::Relaxed);
-        self.checkpoints_baseline
-            .store(checkpoints_written_total(), Ordering::Relaxed);
     }
 
     pub(crate) fn record_commit(&self, read_only: bool) {
@@ -192,8 +94,9 @@ impl StmStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Take a point-in-time copy of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// The live totals: this instance's counters plus the process-global
+    /// ones, before the baseline is taken off.
+    fn totals(&self) -> StatsSnapshot {
         StatsSnapshot {
             commits: self.commits.load(Ordering::Relaxed),
             read_only_commits: self.read_only_commits.load(Ordering::Relaxed),
@@ -204,49 +107,17 @@ impl StmStats {
             validation_skipped_commits: self.validation_skipped_commits.load(Ordering::Relaxed),
             read_dedup_hits: self.read_dedup_hits.load(Ordering::Relaxed),
             slab_recycle_hits: self.slab_recycle_hits.load(Ordering::Relaxed),
-            node_recycle_hits: arena::node_recycle_hits()
-                .saturating_sub(self.node_recycle_baseline.load(Ordering::Relaxed)),
-            chain_recycle_hits: arena::chain_recycle_hits()
-                .saturating_sub(self.chain_recycle_baseline.load(Ordering::Relaxed)),
-            snapshot_preserved: snapshot::preserved_total()
-                .saturating_sub(self.snapshot_preserved_baseline.load(Ordering::Relaxed)),
-            snapshot_freed: snapshot::freed_total()
-                .saturating_sub(self.snapshot_freed_baseline.load(Ordering::Relaxed)),
-            wal_records_appended: wal_records_appended_total()
-                .saturating_sub(self.wal_appended_baseline.load(Ordering::Relaxed)),
-            group_commit_flushes: group_commit_flushes_total()
-                .saturating_sub(self.group_flush_baseline.load(Ordering::Relaxed)),
-            recovery_records_replayed: recovery_records_replayed_total()
-                .saturating_sub(self.recovery_replayed_baseline.load(Ordering::Relaxed)),
-            checkpoints_written: checkpoints_written_total()
-                .saturating_sub(self.checkpoints_baseline.load(Ordering::Relaxed)),
+            node_recycle_hits: arena::node_recycle_hits(),
+            chain_recycle_hits: arena::chain_recycle_hits(),
+            snapshot_preserved: snapshot::preserved_total(),
+            snapshot_freed: snapshot::freed_total(),
         }
     }
 
-    /// Reset all counters to zero (used between benchmark trials).
-    ///
-    /// The process-global arena counters cannot be zeroed (other runtimes may
-    /// be mid-trial); instead the current totals become this instance's new
-    /// baseline, so subsequent snapshots report the delta.
-    pub fn reset(&self) {
-        self.commits.store(0, Ordering::Relaxed);
-        self.read_only_commits.store(0, Ordering::Relaxed);
-        self.aborts_read_conflict.store(0, Ordering::Relaxed);
-        self.aborts_write_conflict.store(0, Ordering::Relaxed);
-        self.aborts_validation.store(0, Ordering::Relaxed);
-        self.aborts_explicit.store(0, Ordering::Relaxed);
-        self.validation_skipped_commits.store(0, Ordering::Relaxed);
-        self.read_dedup_hits.store(0, Ordering::Relaxed);
-        self.slab_recycle_hits.store(0, Ordering::Relaxed);
-        self.node_recycle_baseline
-            .store(arena::node_recycle_hits(), Ordering::Relaxed);
-        self.chain_recycle_baseline
-            .store(arena::chain_recycle_hits(), Ordering::Relaxed);
-        self.snapshot_preserved_baseline
-            .store(snapshot::preserved_total(), Ordering::Relaxed);
-        self.snapshot_freed_baseline
-            .store(snapshot::freed_total(), Ordering::Relaxed);
-        self.rebase_durability();
+    /// Take a point-in-time copy of the counters, relative to this
+    /// instance's construction.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        self.totals().since(&self.base)
     }
 }
 
@@ -276,7 +147,7 @@ pub struct StatsSnapshot {
     pub slab_recycle_hits: u64,
     /// Skip-hash node blocks served from recycled arena memory rather than
     /// the global allocator (process-wide, relative to this instance's
-    /// construction/reset baseline — see [`StmStats`]).
+    /// construction — see [`StmStats`]).
     pub node_recycle_hits: u64,
     /// Hash-chain buffers served from recycled arena memory rather than the
     /// global allocator (same baseline semantics as `node_recycle_hits`).
@@ -288,16 +159,6 @@ pub struct StatsSnapshot {
     /// Preserved values freed again after the pins needing them dropped
     /// (same baseline semantics as `snapshot_preserved`).
     pub snapshot_freed: u64,
-    /// Commit records appended to the write-ahead log (process-wide,
-    /// relative to this instance's baseline — see [`StmStats`]).
-    pub wal_records_appended: u64,
-    /// Group-commit flushes — batches made durable by a single fsync (same
-    /// baseline semantics as `wal_records_appended`).
-    pub group_commit_flushes: u64,
-    /// WAL records replayed by recovery (same baseline semantics).
-    pub recovery_records_replayed: u64,
-    /// Checkpoint images made durable (same baseline semantics).
-    pub checkpoints_written: u64,
 }
 
 impl StatsSnapshot {
@@ -335,11 +196,6 @@ impl StatsSnapshot {
             chain_recycle_hits: self.chain_recycle_hits - earlier.chain_recycle_hits,
             snapshot_preserved: self.snapshot_preserved - earlier.snapshot_preserved,
             snapshot_freed: self.snapshot_freed - earlier.snapshot_freed,
-            wal_records_appended: self.wal_records_appended - earlier.wal_records_appended,
-            group_commit_flushes: self.group_commit_flushes - earlier.group_commit_flushes,
-            recovery_records_replayed: self.recovery_records_replayed
-                - earlier.recovery_records_replayed,
-            checkpoints_written: self.checkpoints_written - earlier.checkpoints_written,
         }
     }
 }
@@ -349,7 +205,7 @@ impl fmt::Display for StatsSnapshot {
         write!(
             f,
             "commits={} (ro={}, noval={}) aborts={} [read={} write={} validation={} explicit={}] \
-             dedup={} slab={} node={} chain={} snap={}/{} wal={}+{}fl ckpt={} replay={}",
+             dedup={} slab={} node={} chain={} snap={}/{}",
             self.commits,
             self.read_only_commits,
             self.validation_skipped_commits,
@@ -364,10 +220,6 @@ impl fmt::Display for StatsSnapshot {
             self.chain_recycle_hits,
             self.snapshot_preserved,
             self.snapshot_freed,
-            self.wal_records_appended,
-            self.group_commit_flushes,
-            self.checkpoints_written,
-            self.recovery_records_replayed,
         )
     }
 }
@@ -395,28 +247,20 @@ mod tests {
 
     /// Zero the process-global fields (arena and snapshot custody):
     /// concurrently running tests may recycle blocks or move history entries
-    /// between a `reset` and the `snapshot` under assertion, and those
+    /// between a construction and the `snapshot` under assertion, and those
     /// deltas are legitimate.
     fn without_arena_counters(mut snap: StatsSnapshot) -> StatsSnapshot {
         snap.node_recycle_hits = 0;
         snap.chain_recycle_hits = 0;
         snap.snapshot_preserved = 0;
         snap.snapshot_freed = 0;
-        snap.wal_records_appended = 0;
-        snap.group_commit_flushes = 0;
-        snap.recovery_records_replayed = 0;
-        snap.checkpoints_written = 0;
         snap
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let stats = StmStats::new();
-        stats.record_commit(false);
-        stats.record_abort(TxAbort::Explicit);
-        stats.reset();
+    fn fresh_stats_start_at_zero() {
         assert_eq!(
-            without_arena_counters(stats.snapshot()),
+            without_arena_counters(StmStats::new().snapshot()),
             StatsSnapshot::default()
         );
     }
@@ -448,11 +292,6 @@ mod tests {
         assert!(display.contains("noval=1"));
         assert!(display.contains("dedup=3"));
         assert!(display.contains("slab=2"));
-        stats.reset();
-        assert_eq!(
-            without_arena_counters(stats.snapshot()),
-            StatsSnapshot::default()
-        );
     }
 
     #[test]
@@ -470,33 +309,6 @@ mod tests {
         let fresh_before = fresh.snapshot().node_recycle_hits;
         arena::note_node_recycle();
         assert!(fresh.snapshot().node_recycle_hits > fresh_before);
-    }
-
-    #[test]
-    fn durability_counters_report_deltas_from_the_baseline() {
-        let stats = StmStats::new();
-        let before = stats.snapshot();
-        note_wal_records_appended(3);
-        note_wal_records_appended(0); // zero batches must not touch the line
-        note_group_commit_flush();
-        note_recovery_records_replayed(2);
-        note_checkpoint_written();
-        let delta = stats.snapshot().since(&before);
-        // Other tests may note durability events concurrently, so assert a
-        // floor, not equality.
-        assert!(delta.wal_records_appended >= 3);
-        assert!(delta.group_commit_flushes >= 1);
-        assert!(delta.recovery_records_replayed >= 2);
-        assert!(delta.checkpoints_written >= 1);
-        let display = stats.snapshot().to_string();
-        assert!(display.contains("wal="));
-        assert!(display.contains("ckpt="));
-        // Reset re-baselines at the current global totals.
-        stats.reset();
-        let fresh = stats.snapshot();
-        assert_eq!(without_arena_counters(fresh), StatsSnapshot::default());
-        note_checkpoint_written();
-        assert!(stats.snapshot().checkpoints_written >= 1);
     }
 
     #[test]

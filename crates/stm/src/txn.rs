@@ -118,11 +118,6 @@ impl Stm {
         self.stats.snapshot()
     }
 
-    /// Reset the statistics counters (e.g. between benchmark trials).
-    pub fn reset_stats(&self) {
-        self.stats.reset()
-    }
-
     fn begin(&self) -> Txn<'_> {
         let id = self.attempt_ids.fetch_add(1, Ordering::Relaxed);
         Txn {
@@ -133,7 +128,6 @@ impl Stm {
             scratch: scratch::lease(),
             dedup_hits: 0,
             slab_hits: 0,
-            commit_stamp: 0,
             finished: false,
         }
     }
@@ -274,11 +268,6 @@ pub struct Txn<'stm> {
     dedup_hits: u32,
     /// Writes whose payload came from a recycled arena block.
     slab_hits: u32,
-    /// The version this attempt committed at (writers: the clock tick's
-    /// `wv`; read-only commits: the read version, at which every read is
-    /// consistent).  Zero until [`Txn::commit`] succeeds; handed to
-    /// post-commit actions registered with [`Txn::on_commit_with_stamp`].
-    commit_stamp: u64,
     finished: bool,
 }
 
@@ -350,33 +339,19 @@ impl<'stm> Txn<'stm> {
         self.scratch.post_commit.push(PostCommit::new(action));
     }
 
-    /// Like [`Txn::on_commit`], but the action receives the attempt's
-    /// **commit stamp**: for a writer commit, the write version `wv` the
-    /// clock issued at commit (the version stamped on every orec this
-    /// transaction released); for a read-only commit, the attempt's read
-    /// version (the version at which all of its reads are consistent).
+    /// Register an action that receives the attempt's **commit stamp** and
+    /// runs at the commit's **serialization point**: after the attempt has
+    /// passed its last abort point (stamp minted, validation passed — the
+    /// commit is certain), yet *before* any of its writes are published to
+    /// other transactions.
     ///
-    /// This is the hook a write-ahead log rides: the stamp gives log records
-    /// the clock's total commit order without re-reading the clock (which
-    /// would race with later commits and could disagree with the order the
-    /// orecs actually published).  The same inline-storage rule as
-    /// [`Txn::on_commit`] applies: closures up to three words are stored in
-    /// the pooled action queue without boxing.
-    ///
-    /// Exactly-once semantics are identical to [`Txn::on_commit`]: aborted
-    /// attempts drop the action unrun, and the committing attempt runs it
-    /// once, after its epoch guard is released.
-    pub fn on_commit_with_stamp<F: FnOnce(u64) + 'static>(&mut self, action: F) {
-        self.scratch
-            .post_commit
-            .push(PostCommit::new_stamped(action));
-    }
-
-    /// Like [`Txn::on_commit_with_stamp`], but the action runs at the
-    /// commit's **serialization point**: after the attempt has passed its
-    /// last abort point (stamp minted, validation passed — the commit is
-    /// certain), yet *before* any of its writes are published to other
-    /// transactions.
+    /// The stamp is, for a writer commit, the write version `wv` the clock
+    /// issued at commit (the version stamped on every orec this transaction
+    /// releases); for a read-only commit, the attempt's read version (the
+    /// version at which all of its reads are consistent).  It gives log
+    /// records the clock's total commit order without re-reading the clock
+    /// (which would race with later commits and could disagree with the
+    /// order the orecs actually published).
     ///
     /// This ordering is what a write-ahead log needs for its durability
     /// barrier: a record enqueued here is registered with the log **before**
@@ -397,10 +372,9 @@ impl<'stm> Txn<'stm> {
     /// contending on this commit's cells wait exactly as long.
     ///
     /// Exactly-once semantics match [`Txn::on_commit`]: aborted attempts
-    /// drop the action unrun; the committing attempt runs it once, with the
-    /// same stamp [`Txn::on_commit_with_stamp`] would see (writers: the
-    /// ticked `wv`; read-only commits: the read version).  Sequenced
-    /// actions run before every post-commit action, in registration order.
+    /// drop the action unrun; the committing attempt runs it once.
+    /// Sequenced actions run before every post-commit action, in
+    /// registration order.
     /// The same inline-storage rule applies: closures up to three words are
     /// stored in the pooled action queue without boxing.
     pub fn on_commit_sequenced<F: FnOnce(u64) + 'static>(&mut self, action: F) {
@@ -573,15 +547,13 @@ impl<'stm> Txn<'stm> {
             // Read-only transactions: every read was validated against the
             // read version at the time it executed, so the read set already
             // forms a consistent snapshot and no further work is required.
-            self.commit_stamp = self.rv;
-            self.run_sequenced();
+            self.run_sequenced(self.rv);
             self.stm.stats.record_commit(true);
             self.flush_hot_path_stats();
             self.finished = true;
             return Ok(());
         }
         let stamp = self.stm.clock.tick(self.rv);
-        self.commit_stamp = stamp.wv;
         if stamp.quiescent {
             // The clock proved no transaction committed between our read
             // sample and our tick, so nothing we read can have changed.
@@ -601,7 +573,7 @@ impl<'stm> Txn<'stm> {
         // Serialization point: validation passed, so this attempt can no
         // longer abort — but its writes are not yet published (the orecs are
         // still held).  Commit-sequenced actions run exactly here.
-        self.run_sequenced();
+        self.run_sequenced(stamp.wv);
         let TxnScratch {
             writes,
             retired,
@@ -645,9 +617,8 @@ impl<'stm> Txn<'stm> {
 
     /// Run the attempt's commit-sequenced actions at the serialization
     /// point.  Called from [`Txn::commit`] after the last abort point, with
-    /// the commit stamp already assigned.
-    fn run_sequenced(&mut self) {
-        let stamp = self.commit_stamp;
+    /// the attempt's commit stamp.
+    fn run_sequenced(&mut self, stamp: u64) {
         for action in self.scratch.sequenced.drain(..) {
             action.invoke(stamp);
         }
@@ -661,9 +632,9 @@ impl<'stm> Txn<'stm> {
         // released (commit did that) and the epoch pin gone — an action may
         // run arbitrary code, including new transactions on this runtime.
         self.guard = None;
-        let stamp = self.commit_stamp;
         for action in self.scratch.post_commit.drain(..) {
-            action.invoke(stamp);
+            // Post-commit actions are plain `FnOnce()`: the stamp is unused.
+            action.invoke(0);
         }
     }
 
@@ -866,8 +837,6 @@ mod tests {
         let snap = stm.stats();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.read_only_commits, 0);
-        stm.reset_stats();
-        assert_eq!(stm.stats().commits, 0);
     }
 
     #[test]
@@ -1025,76 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn on_commit_with_stamp_fires_once_with_the_commit_stamp() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let stm = Stm::new();
-        let cell = TCell::new(0u64);
-        let stamps = Rc::new(Cell::new((0u32, 0u64)));
-        let mut attempts = 0;
-        stm.run(|tx| {
-            attempts += 1;
-            let stamps = Rc::clone(&stamps);
-            tx.on_commit_with_stamp(move |wv| {
-                let (count, _) = stamps.get();
-                stamps.set((count + 1, wv));
-            });
-            if attempts < 3 {
-                // Aborted attempts must drop their stamped actions unrun.
-                return Err(TxAbort::Explicit);
-            }
-            cell.write(tx, attempts)
-        });
-        let (count, stamp) = stamps.get();
-        assert_eq!(count, 1, "only the committing attempt may fire");
-        // A fresh counter clock starts at 0; the first writer commit ticks
-        // it to 1 and that write version is the stamp handed to the action.
-        assert_eq!(stamp, 1);
-        assert_eq!(stm.clock_now(), stamp);
-    }
-
-    #[test]
-    fn on_commit_with_stamp_stamps_advance_per_writer_commit() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let stm = Stm::new();
-        let cell = TCell::new(0u64);
-        let seen = Rc::new(Cell::new(0u64));
-        for expected in 1..=3u64 {
-            let seen = Rc::clone(&seen);
-            stm.run(|tx| {
-                let seen = Rc::clone(&seen);
-                tx.on_commit_with_stamp(move |wv| seen.set(wv));
-                let v = cell.read(tx)?;
-                cell.write(tx, v + 1)
-            });
-            assert_eq!(seen.get(), expected);
-        }
-    }
-
-    #[test]
-    fn on_commit_with_stamp_read_only_sees_its_read_version() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let stm = Stm::new();
-        let cell = TCell::new(5u64);
-        // One writer commit so the clock is at a known non-zero value.
-        stm.run(|tx| cell.write(tx, 6));
-        let rv_now = stm.clock_now();
-        let seen = Rc::new(Cell::new(u64::MAX));
-        let seen_in = Rc::clone(&seen);
-        stm.run(|tx| {
-            let seen = Rc::clone(&seen_in);
-            tx.on_commit_with_stamp(move |wv| seen.set(wv));
-            cell.read(tx)
-        });
-        // A read-only commit does not tick the clock; its stamp is the
-        // snapshot version the reads validated against.
-        assert_eq!(seen.get(), rv_now);
-        assert_eq!(stm.clock_now(), rv_now);
-    }
-
-    #[test]
     fn on_commit_sequenced_fires_once_with_the_commit_stamp() {
         use std::cell::Cell;
         use std::rc::Rc;
@@ -1117,8 +1016,20 @@ mod tests {
         });
         let (count, stamp) = seen.get();
         assert_eq!(count, 1, "only the committing attempt may fire");
+        // A fresh counter clock starts at 0; the first writer commit ticks
+        // it to 1 and that write version is the stamp handed to the action.
         assert_eq!(stamp, 1, "the sequenced action sees the ticked wv");
         assert_eq!(stm.clock_now(), stamp);
+        // Each later writer commit ticks the clock once more.
+        for expected in 2..=4u64 {
+            stm.run(|tx| {
+                let seen = Rc::clone(&seen);
+                tx.on_commit_sequenced(move |wv| seen.set((0, wv)));
+                let v = cell.read(tx)?;
+                cell.write(tx, v + 1)
+            });
+            assert_eq!(seen.get().1, expected);
+        }
     }
 
     #[test]
@@ -1131,13 +1042,13 @@ mod tests {
         stm.run(|tx| {
             let a = Rc::clone(&order);
             // Registered first, but post-commit: must still run last.
-            tx.on_commit_with_stamp(move |wv| a.borrow_mut().push(("post", wv)));
+            tx.on_commit(move || a.borrow_mut().push("post"));
             let b = Rc::clone(&order);
-            tx.on_commit_sequenced(move |wv| b.borrow_mut().push(("sequenced", wv)));
+            tx.on_commit_sequenced(move |_| b.borrow_mut().push("sequenced"));
             cell.write(tx, 1)
         });
         let order = order.borrow();
-        assert_eq!(&*order, &[("sequenced", 1), ("post", 1)]);
+        assert_eq!(&*order, &["sequenced", "post"]);
     }
 
     #[test]
@@ -1146,6 +1057,7 @@ mod tests {
         use std::rc::Rc;
         let stm = Stm::new();
         let cell = TCell::new(5u64);
+        // One writer commit so the clock is at a known non-zero value.
         stm.run(|tx| cell.write(tx, 6));
         let rv_now = stm.clock_now();
         let seen = Rc::new(Cell::new(u64::MAX));
@@ -1155,6 +1067,8 @@ mod tests {
             tx.on_commit_sequenced(move |wv| seen.set(wv));
             cell.read(tx)
         });
+        // A read-only commit does not tick the clock; its stamp is the
+        // snapshot version the reads validated against.
         assert_eq!(seen.get(), rv_now);
         assert_eq!(stm.clock_now(), rv_now);
     }
@@ -1229,7 +1143,7 @@ mod tests {
         let seen_in = Rc::clone(&seen);
         stm.run(|tx| {
             let seen = Rc::clone(&seen_in);
-            tx.on_commit_with_stamp(move |wv| seen.set(wv));
+            tx.on_commit_sequenced(move |wv| seen.set(wv));
             cell.write(tx, 1)
         });
         assert!(
