@@ -1020,15 +1020,80 @@ mod tests {
         // it to 1 and that write version is the stamp handed to the action.
         assert_eq!(stamp, 1, "the sequenced action sees the ticked wv");
         assert_eq!(stm.clock_now(), stamp);
-        // Each later writer commit ticks the clock once more.
-        for expected in 2..=4u64 {
+    }
+
+    // The `on_commit_with_stamp_*` tests check the commit stamp itself (the
+    // value a stamped hook receives); they run against the one stamped hook,
+    // `on_commit_sequenced`.
+
+    #[test]
+    fn on_commit_with_stamp_fires_once_with_the_commit_stamp() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let stm = Stm::new();
+        let cell = TCell::new(0u64);
+        let stamps = Rc::new(RefCell::new(Vec::new()));
+        let mut attempts = 0;
+        stm.run(|tx| {
+            attempts += 1;
+            for slot in 0..3u32 {
+                let stamps = Rc::clone(&stamps);
+                tx.on_commit_sequenced(move |wv| stamps.borrow_mut().push((slot, wv)));
+            }
+            if attempts < 3 {
+                // Aborted attempts must drop their stamped actions unrun.
+                return Err(TxAbort::Explicit);
+            }
+            cell.write(tx, attempts)
+        });
+        // Every action of the committing attempt fires once, in registration
+        // order, and all of them see the same stamp: the ticked wv.
+        assert_eq!(&*stamps.borrow(), &[(0, 1), (1, 1), (2, 1)]);
+        assert_eq!(stm.clock_now(), 1);
+    }
+
+    #[test]
+    fn on_commit_with_stamp_stamps_advance_per_writer_commit() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let stm = Stm::new();
+        let cell = TCell::new(0u64);
+        let seen = Rc::new(Cell::new(0u64));
+        for expected in 1..=3u64 {
+            let seen = Rc::clone(&seen);
             stm.run(|tx| {
                 let seen = Rc::clone(&seen);
-                tx.on_commit_sequenced(move |wv| seen.set((0, wv)));
+                tx.on_commit_sequenced(move |wv| seen.set(wv));
                 let v = cell.read(tx)?;
                 cell.write(tx, v + 1)
             });
-            assert_eq!(seen.get().1, expected);
+            assert_eq!(seen.get(), expected);
+        }
+    }
+
+    #[test]
+    fn on_commit_with_stamp_read_only_sees_its_read_version() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let stm = Stm::new();
+        let cell = TCell::new(5u64);
+        let writer_stamp = Rc::new(Cell::new(0u64));
+        let reader_stamp = Rc::new(Cell::new(u64::MAX));
+        for v in 6..=8u64 {
+            stm.run(|tx| {
+                let writer_stamp = Rc::clone(&writer_stamp);
+                tx.on_commit_sequenced(move |wv| writer_stamp.set(wv));
+                cell.write(tx, v)
+            });
+            stm.run(|tx| {
+                let reader_stamp = Rc::clone(&reader_stamp);
+                tx.on_commit_sequenced(move |rv| reader_stamp.set(rv));
+                cell.read(tx)
+            });
+            // A read-only commit is stamped with its read version: the wv of
+            // the last writer it can see, not a fresh tick.
+            assert_eq!(reader_stamp.get(), writer_stamp.get());
+            assert_eq!(stm.clock_now(), writer_stamp.get());
         }
     }
 
